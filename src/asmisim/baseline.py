@@ -63,6 +63,33 @@ def reconstruct_ami(samples: list[AmiSample], t: SimTime, p0: float = 0.0) -> fl
     return best.value if best is not None else p0
 
 
+def hold_error(
+    truth: list[float],
+    grid: SimTime,
+    times: list[SimTime],
+    values: list[float],
+    prior: float,
+) -> ErrorReport:
+    """Sup/mean/RMS absolute error of a zero-order hold against a truth grid.
+
+    truth[k] is the true value at k * grid. times must be non-decreasing;
+    values[i] holds from times[i] on, and prior holds before times[0].
+    """
+    sup = total = total_sq = 0.0
+    idx = -1
+    for k, true_value in enumerate(truth):
+        t = k * grid
+        while idx + 1 < len(times) and times[idx + 1] <= t:
+            idx += 1
+        held = values[idx] if idx >= 0 else prior
+        err = abs(true_value - held)
+        sup = max(sup, err)
+        total += err
+        total_sq += err * err
+    n = len(truth)
+    return ErrorReport(sup=sup, mean=total / n, rmse=math.sqrt(total_sq / n), n_points=n)
+
+
 def error_stats(
     truth: Signal,
     samples: list[AmiSample],
@@ -73,25 +100,14 @@ def error_stats(
     """Sup/mean/RMS absolute error of the hold against truth on a uniform grid."""
     if grid <= 0:
         raise NonPositiveInterval(f"grid must be positive, got {grid}")
-    # Sorting once turns reconstruct into a scan instead of O(n) per point.
     ordered = sorted(samples, key=lambda s: s.t)
-    sup = 0.0
-    total = 0.0
-    total_sq = 0.0
-    n = 0
-    idx = -1
-    t = 0
-    while t <= horizon:
-        while idx + 1 < len(ordered) and ordered[idx + 1].t <= t:
-            idx += 1
-        held = ordered[idx].value if idx >= 0 else p0
-        err = abs(value_at(truth, t) - held)
-        sup = max(sup, err)
-        total += err
-        total_sq += err * err
-        n += 1
-        t += grid
-    return ErrorReport(sup=sup, mean=total / n, rmse=math.sqrt(total_sq / n), n_points=n)
+    return hold_error(
+        [value_at(truth, t) for t in range(0, horizon + 1, grid)],
+        grid,
+        [s.t for s in ordered],
+        [s.value for s in ordered],
+        p0,
+    )
 
 
 def matched_budget_interval(horizon: SimTime, n_messages: int) -> SimTime:

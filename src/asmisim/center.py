@@ -5,8 +5,9 @@ decodes the frame, deduplicates on (sensor_id, seq_no) — keeping the
 earliest corrected receipt time among duplicates, since latency only adds —
 and corrects the router's receipt stamp back toward emission time by
 subtracting the router's declared sync residual and the nominal radio
-latency. Whatever error remains (drift between syncs, jitter) is surfaced
-through the uncertainty halfwidth, never hidden.
+latency. Whatever error remains (drift between syncs, jitter) stays in the
+corrected times: the uncertainty halfwidth is dp times the seq_no gap, so it
+reflects lost frames, not timing error.
 
 Reconstruction is a zero-order hold over the per-sensor timeline: between
 records the last known grid level stands. Because every EVENT carries the

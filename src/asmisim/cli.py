@@ -41,15 +41,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_validate(args) -> int:
+def _load(path: str) -> scenario.Scenario | None:
+    """Load a scenario, or print every problem with it and return None."""
     try:
-        sc = scenario.load(args.config)
+        return scenario.load(path)
     except scenario.ScenarioValidationError as exc:
-        for path, message in exc.errors:
-            print(f"error: {path or '<document>'}: {message}", file=sys.stderr)
-        return 1
+        for err_path, message in exc.errors:
+            print(f"error: {err_path or '<document>'}: {message}", file=sys.stderr)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+    return None
+
+
+def cmd_validate(args) -> int:
+    sc = _load(args.config)
+    if sc is None:
         return 1
     print(
         f"ok: {sc.scenario_id}: {len(sc.sensors)} sensor(s), "
@@ -59,14 +65,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        sc = scenario.load(args.config)
-    except scenario.ScenarioValidationError as exc:
-        for path, message in exc.errors:
-            print(f"error: {path or '<document>'}: {message}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    sc = _load(args.config)
+    if sc is None:
         return 1
     result = runner.run_scenario(sc, seed=args.seed)
     out_dir = args.out if args.out is not None else sc.outputs

@@ -55,7 +55,7 @@ def receive(state: RouterState, data: bytes, true_t: SimTime) -> None:
     state.buffer.append(ForwardedRecord(state.router_id, bytes(data), local_clock(state, true_t)))
 
 
-def flush(state: RouterState, true_t: SimTime) -> list[ForwardedRecord]:
+def flush(state: RouterState) -> list[ForwardedRecord]:
     """Hand over and clear the whole buffer, preserving arrival order."""
     batch = state.buffer
     state.buffer = []

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -147,10 +146,7 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
             descriptor, signals[descriptor.signal_id], kernel, scenario.horizon, emit
         )
 
-    def ship(batch: list[router.ForwardedRecord], at: SimTime) -> None:
-        """Send one flushed batch over the (reliable, ordered) backhaul."""
-        if not batch:
-            return
+    def log_batch(batch: list[router.ForwardedRecord]) -> None:
         for rec in batch:
             transport_rows.append(
                 {
@@ -159,6 +155,12 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
                     "frame_hex": rec.frame_bytes.hex(),
                 }
             )
+
+    def ship(batch: list[router.ForwardedRecord], at: SimTime) -> None:
+        """Send one flushed batch over the (reliable, ordered) backhaul."""
+        if not batch:
+            return
+        log_batch(batch)
         router_id = batch[0].router_id
 
         def ingest_action() -> None:
@@ -176,7 +178,7 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
         state = router_states[router_id]
 
         def action() -> None:
-            ship(router.flush(state, at), at)
+            ship(router.flush(state), at)
             nxt = at + state.flush_interval
             if nxt <= end_of_receipt:
                 kernel.schedule(nxt, (RANK_ROUTER, router_id, nxt), flush_action(router_id, nxt))
@@ -208,15 +210,9 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
 
     # Final drain: whatever the periodic flushes missed goes straight in.
     for router_id in sorted(router_states):
-        batch = router.flush(router_states[router_id], end_of_run)
+        batch = router.flush(router_states[router_id])
+        log_batch(batch)
         for rec in batch:
-            transport_rows.append(
-                {
-                    "router_id": rec.router_id,
-                    "local_receipt_time_ms": rec.local_receipt_time,
-                    "frame_hex": rec.frame_bytes.hex(),
-                }
-            )
             center.ingest(rec)
 
     counters["dropped"] = sum(s.dropped for s in router_states.values())
@@ -239,72 +235,53 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
     return result
 
 
-def _asmi_error_report(result: RunResult, sensor_id: int) -> ami.ErrorReport:
-    """Reconstruction error of the event pipeline on the uniform grid."""
-    scenario = result.scenario
-    descriptor = result.center.sensors[sensor_id].descriptor
-    signal = result.signals[descriptor.signal_id]
-    grid = scenario.error_grid
-    sup = total = total_sq = 0.0
-    n = 0
-    t = 0
-    while t <= scenario.horizon:
-        value, _unc = result.center.reconstruct(sensor_id, t)
-        err = abs(value_at(signal, t) - value)
-        sup = max(sup, err)
-        total += err
-        total_sq += err * err
-        n += 1
-        t += grid
-    return ami.ErrorReport(sup=sup, mean=total / n, rmse=math.sqrt(total_sq / n), n_points=n)
-
-
 def _comparison_rows(result: RunResult) -> list[tuple]:
     scenario = result.scenario
+    grid = scenario.error_grid
+    # Sensors that share a signal share its truth, so evaluate it once.
+    grid_times = range(0, scenario.horizon + 1, grid)
+    truths = {
+        signal_id: [value_at(result.signals[signal_id], t) for t in grid_times]
+        for signal_id in {d.signal_id for d in scenario.sensors}
+    }
     rows = []
     for descriptor in sorted(scenario.sensors, key=lambda d: d.sensor_id):
         sensor_id = descriptor.sensor_id
         signal = result.signals[descriptor.signal_id]
+        truth = truths[descriptor.signal_id]
         messages = result.sensor_states[sensor_id].seq_no
-        report = _asmi_error_report(result, sensor_id)
-        rows.append(
-            (
-                scenario.scenario_id,
-                "ASMI",
-                sensor_id,
-                report.sup,
-                report.mean,
-                report.rmse,
-                messages,
-                messages * ami.AMI_FRAME_BYTES,
+        entries = result.center.timeline(sensor_id)
+        asmi_report = ami.hold_error(
+            truth,
+            grid,
+            [e.estimated_event_time for e in entries],
+            [descriptor.p0 + descriptor.dp * e.level_index for e in entries],
+            descriptor.p0,
+        )
+        scored = [("ASMI", asmi_report, messages)]
+        if scenario.baseline.enabled:
+            if scenario.baseline.dt == "matched":
+                dt = ami.matched_budget_interval(scenario.horizon, max(1, messages))
+            else:
+                dt = scenario.baseline.dt
+            samples = ami.poll(signal, dt, scenario.horizon)
+            ami_report = ami.hold_error(
+                truth, grid, [s.t for s in samples], [s.value for s in samples], truth[0]
             )
-        )
-        if not scenario.baseline.enabled:
-            continue
-        if scenario.baseline.dt == "matched":
-            dt = ami.matched_budget_interval(scenario.horizon, max(1, messages))
-        else:
-            dt = scenario.baseline.dt
-        samples = ami.poll(signal, dt, scenario.horizon)
-        ami_report = ami.error_stats(
-            signal,
-            samples,
-            scenario.horizon,
-            grid=scenario.error_grid,
-            p0=value_at(signal, 0),
-        )
-        rows.append(
-            (
-                scenario.scenario_id,
-                "AMI",
-                sensor_id,
-                ami_report.sup,
-                ami_report.mean,
-                ami_report.rmse,
-                len(samples),
-                len(samples) * ami.AMI_FRAME_BYTES,
+            scored.append(("AMI", ami_report, len(samples)))
+        for pipeline, report, count in scored:
+            rows.append(
+                (
+                    scenario.scenario_id,
+                    pipeline,
+                    sensor_id,
+                    report.sup,
+                    report.mean,
+                    report.rmse,
+                    count,
+                    count * ami.AMI_FRAME_BYTES,
+                )
             )
-        )
     return rows
 
 

@@ -67,16 +67,16 @@ def test_receive_preserves_arrival_order_at_same_instant():
 
 def test_flush_returns_and_clears():
     state = RouterState(router_id=1)
-    assert flush(state, 10) == []
+    assert flush(state) == []
     for i in range(5):
         receive(state, wire(i + 1), i)
-    batch = flush(state, 100)
+    batch = flush(state)
     assert len(batch) == 5
     assert [r.frame_bytes for r in batch] == [wire(i + 1) for i in range(5)]
     assert state.buffer == []
     # records arriving after a flush appear only in the next batch
     receive(state, wire(6), 200)
-    assert [r.frame_bytes for r in flush(state, 300)] == [wire(6)]
+    assert [r.frame_bytes for r in flush(state)] == [wire(6)]
 
 
 def test_apply_time_sync_resets_drift_anchor():
@@ -112,8 +112,8 @@ def test_transparency_forwarded_bytes_equal_received_bytes():
     for i, data in enumerate(frames):
         receive(state, data, i * 10)
     shipped = []
-    shipped.extend(flush(state, 50))
+    shipped.extend(flush(state))
     for i, data in enumerate(frames):
         receive(state, data, 100 + i)
-    shipped.extend(flush(state, 500))
+    shipped.extend(flush(state))
     assert [r.frame_bytes for r in shipped] == frames + frames

@@ -1,11 +1,13 @@
 import copy
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from asmisim import cli, runner, scenario
+from asmisim import baseline, cli, runner, scenario
+from asmisim.signalgen import value_at
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -211,6 +213,82 @@ def test_transport_log_matches_delivered_count():
         assert len(bytes.fromhex(row["frame_hex"])) == 14
 
 
+def _sequential_error_report(errors):
+    """sup/mean/RMSE accumulated in grid order, as the comparison defines them."""
+    sup = total = total_sq = 0.0
+    for err in errors:
+        sup = max(sup, err)
+        total += err
+        total_sq += err * err
+    return sup, total / len(errors), math.sqrt(total_sq / len(errors))
+
+
+def test_comparison_rows_equal_reconstruct_and_error_stats():
+    doc = minimal_config(
+        scenario_id="pinned",
+        seed=5,
+        horizon=6 * 3_600_000,
+        channel={"loss_prob": 0.2, "latency": 50, "jitter": 20},
+        baseline={"enabled": True, "dt": "matched"},
+        error_grid=7_000,
+    )
+    doc["sensors"][0]["dP"] = 0.05
+    doc["signals"].append(
+        {
+            "id": "temp",
+            "kind": "ambient",
+            "unit": "degC",
+            "mean": 20.0,
+            "amplitude": 2.0,
+            "period": 6 * 3_600_000,
+            "noise_sigma": 0.05,
+        }
+    )
+    for sensor_id, dp, p0 in ((2, 0.1, 19.95), (3, 0.25, 20.1)):
+        doc["sensors"].append(
+            {
+                "sensor_id": sensor_id,
+                "dP": dp,
+                "P0": p0,
+                "mode": "BIDIRECTIONAL",
+                "status_interval": 1_800_000,
+                "signal": "temp",
+            }
+        )
+    doc["routers"] = [
+        {"id": 1, "drift_ppm": 40.0, "sync_residual": 3},
+        {"id": 2, "drift_ppm": -25.0, "sync_residual": -4},
+    ]
+    doc["coverage"] = {"1": [1, 2], "2": [1, 2], "3": [2]}
+    sc = scenario.validate(doc)
+    assert sc.horizon % sc.error_grid != 0
+    result = runner.run_scenario(sc)
+    assert result.counters["radio_lost"] > 0
+
+    expected = []
+    grid_times = range(0, sc.horizon + 1, sc.error_grid)
+    for descriptor in sorted(sc.sensors, key=lambda d: d.sensor_id):
+        sensor_id = descriptor.sensor_id
+        signal = result.signals[descriptor.signal_id]
+        messages = result.sensor_states[sensor_id].seq_no
+        assert messages > 0
+        errors = [
+            abs(value_at(signal, t) - result.center.reconstruct(sensor_id, t)[0]) for t in grid_times
+        ]
+        sup, mean, rmse = _sequential_error_report(errors)
+        expected.append(
+            ("pinned", "ASMI", sensor_id, sup, mean, rmse, messages, messages * baseline.AMI_FRAME_BYTES)
+        )
+        dt = baseline.matched_budget_interval(sc.horizon, messages)
+        samples = baseline.poll(signal, dt, sc.horizon)
+        report = baseline.error_stats(signal, samples, sc.horizon, sc.error_grid, value_at(signal, 0))
+        polls = len(samples)
+        expected.append(
+            ("pinned", "AMI", sensor_id, report.sup, report.mean, report.rmse, polls, polls * baseline.AMI_FRAME_BYTES)
+        )
+    assert result.comparison_rows == expected
+
+
 def test_run_summary_has_exactly_the_contract_keys(tmp_path):
     sc = scenario.load(SCENARIO_DIR / "quiet_day.json")
     result = runner.run_scenario(sc)
@@ -240,6 +318,22 @@ def test_cli_validate_reports_errors(tmp_path, capsys):
 
 def test_cli_validate_missing_file(capsys):
     assert cli.main(["validate", "--config", "/nonexistent/nope.json"]) == 1
+
+
+def test_cli_run_reports_invalid_config_like_validate(tmp_path, capsys):
+    doc = minimal_config()
+    doc["sensors"][0]["dP"] = 0
+    doc["horizon"] = 0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    validate_err = capsys.readouterr().err
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == validate_err
+    assert "error: sensors[0].dP: dP must be positive" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_and_report(tmp_path, capsys):
