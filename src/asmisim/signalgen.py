@@ -194,73 +194,80 @@ def crossing_times(
     Returns every millisecond t at which the signal crosses the running
     reference grid p0 + k*dp, as (t, +1) or (t, -1), ordered by time. The
     reference moves one quantum per crossing; a jump across several quanta
-    yields several entries at the same t. Crossings are found by bisection
-    within monotone segments, so each reported t is the first millisecond
-    at which the crossing condition holds.
+    yields several entries at the same t. Crossings are searched for within
+    monotone segments (see _first_crossing), so each reported t is the first
+    millisecond at which the crossing condition holds.
     """
     if dp <= 0:
         raise NonPositiveDelta(f"dp must be positive, got {dp}")
     out: list[tuple[SimTime, int]] = []
     k = 0
+    up, down = _thresholds(p0, dp, k)
 
-    def up_threshold() -> float:
-        thr = p0 + (k + 1) * dp
-        return thr - reach_tolerance(thr, dp)
-
-    def down_threshold() -> float:
-        thr = p0 + (k - 1) * dp
-        return thr + reach_tolerance(thr, dp)
-
-    def advance(t: SimTime) -> None:
-        nonlocal k
-        v = value_at(signal, t)
-        while v >= up_threshold():
+    def advance(t: SimTime, v: float) -> None:
+        nonlocal k, up, down
+        while v >= up:
             k += 1
             out.append((t, +1))
-        while v <= down_threshold():
+            up, down = _thresholds(p0, dp, k)
+        while v <= down:
             k -= 1
             out.append((t, -1))
+            up, down = _thresholds(p0, dp, k)
 
-    advance(0)
-    pts = _breakpoints(signal, horizon)
-    prev = 0
-    for b in pts:
-        if b <= prev:
+    t, v = 0, value_at(signal, 0)
+    advance(t, v)
+    for b in _breakpoints(signal, horizon):
+        if b <= t:
             continue
         w = b - 1
-        cursor = prev
-        while w > cursor:
+        if w > t:
             vw = value_at(signal, w)
-            if vw >= up_threshold():
-                t = _first_at_or_above(signal, cursor, w, up_threshold())
-            elif vw <= down_threshold():
-                t = _first_at_or_below(signal, cursor, w, down_threshold())
-            else:
-                break
-            advance(t)
-            cursor = t
-        advance(b)
-        prev = b
+            while w > t and (vw >= up or vw <= down):
+                sign, thr = (1, up) if vw >= up else (-1, down)
+                t, v = _first_crossing(signal, t, v, w, vw, thr, sign)
+                advance(t, v)
+        t, v = b, value_at(signal, b)
+        advance(t, v)
     return out
 
 
-def _first_at_or_above(signal: Signal, lo: SimTime, hi: SimTime, threshold: float) -> SimTime:
-    # value_at(lo) < threshold <= value_at(hi), monotone non-decreasing on [lo, hi]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if value_at(signal, mid) >= threshold:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _thresholds(p0: float, dp: float, k: int) -> tuple[float, float]:
+    """Levels at or beyond which the reference leaves grid line k (up, down)."""
+    up = p0 + (k + 1) * dp
+    down = p0 + (k - 1) * dp
+    return up - reach_tolerance(up, dp), down + reach_tolerance(down, dp)
 
 
-def _first_at_or_below(signal: Signal, lo: SimTime, hi: SimTime, threshold: float) -> SimTime:
-    # value_at(lo) > threshold >= value_at(hi), monotone non-increasing on [lo, hi]
+def _first_crossing(
+    signal: Signal,
+    lo: SimTime,
+    v_lo: float,
+    hi: SimTime,
+    v_hi: float,
+    threshold: float,
+    sign: int,
+) -> tuple[SimTime, float]:
+    """First t in (lo, hi] with sign * value_at(t) >= sign * threshold, and its value.
+
+    The piece is monotone on [lo, hi]; the condition fails at lo and holds at
+    hi. Each probe is the linear-interpolation guess, which lands within a
+    millisecond of the answer on linear pieces; after a probe that fails to
+    halve the bracket the next one bisects, so a curved piece never takes
+    much more than twice bisection's probes.
+    """
+    bisect = False
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if value_at(signal, mid) <= threshold:
-            hi = mid
+        width = hi - lo
+        if bisect:
+            t = lo + width // 2
         else:
-            lo = mid
-    return hi
+            guess = lo + math.ceil((threshold - v_lo) / (v_hi - v_lo) * width)
+            t = min(max(guess, lo + 1), hi - 1)
+        v = value_at(signal, t)
+        if sign * v >= sign * threshold:
+            hi, v_hi = t, v
+        else:
+            lo, v_lo = t, v
+        bisect = not bisect and 2 * (hi - lo) > width
+    return hi, v_hi

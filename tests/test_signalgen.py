@@ -1,7 +1,9 @@
 import math
+import random
 
 import pytest
 
+from asmisim import signalgen
 from asmisim.signalgen import (
     DAY_MS,
     MS_PER_HOUR,
@@ -20,7 +22,7 @@ from asmisim.signalgen import (
 def dense_scan_oracle(signal, p0, dp, horizon):
     """Reference crossing detector: walk every millisecond and track the grid.
 
-    Deliberately brute force and independent of crossing_times' bisection;
+    Deliberately brute force and independent of crossing_times' search;
     shares only value_at (the ground truth) and the boundary tolerance rule.
     """
     out = []
@@ -164,6 +166,99 @@ def test_crossings_match_dense_scan_noisy_walk():
     for t, _ in got:
         by_t[t] = by_t.get(t, 0) + 1
     assert max(by_t.values()) > 1
+
+
+def _random_step_load(rng):
+    # Base rate 0 with two overlapping bursts, a zero-rate interval, and a
+    # gap of at least 10 s with no load before the last burst.
+    horizon = 80_000
+    a = rng.randrange(0, 10_000)
+    b = rng.randrange(50_000, 70_000)
+    intervals = (
+        (a, a + rng.randrange(5_000, 20_000), rng.uniform(5.0, 60.0)),
+        (a + rng.randrange(1, 5_000), a + rng.randrange(20_000, 30_000), rng.uniform(5.0, 60.0)),
+        (b - 5_000, b + 5_000, 0.0),
+        (b, horizon, rng.uniform(5.0, 60.0)),
+    )
+    return step_load_signal(intervals=intervals, horizon=horizon), horizon
+
+
+def _case_step_load(rng):
+    sig, horizon = _random_step_load(rng)
+    return sig, rng.choice((0.0, rng.uniform(-0.02, 0.02))), rng.uniform(0.002, 0.02), horizon
+
+
+def _case_tiny_dp(rng):
+    sig, horizon = _random_step_load(rng)
+    dp = rng.uniform(1e-4, 5e-4)
+    return sig, rng.uniform(-3.0, 3.0) * dp, dp, horizon
+
+
+def _case_sinusoid(rng):
+    # One full noise-free period: the pieces are as curved as they get.
+    horizon = 90_000
+    sig = diurnal_signal(mean=rng.uniform(-5.0, 25.0), amplitude=rng.uniform(0.5, 3.0),
+                         period=horizon, phase=rng.randrange(horizon), horizon=horizon)
+    dp = rng.uniform(0.01, 0.4)
+    return sig, value_at(sig, 0) - rng.uniform(0.0, 1.0) * dp, dp, horizon
+
+
+def _case_noisy_walk(rng):
+    # Walk steps of several quanta force multi-crossing jumps at noise ticks.
+    horizon = 90_000
+    dp = rng.uniform(0.02, 0.1)
+    sig = diurnal_signal(mean=10.0, amplitude=rng.uniform(0.0, 1.0), period=60_000,
+                         phase=rng.randrange(60_000), noise_sigma=8 * dp,
+                         noise_step=rng.randrange(2_000, 15_000), seed=rng.randrange(1000),
+                         horizon=horizon)
+    return sig, 10.0 + rng.uniform(-dp, dp), dp, horizon
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("case", [_case_step_load, _case_tiny_dp, _case_sinusoid, _case_noisy_walk])
+def test_crossings_match_dense_scan_random_signals(case, seed):
+    sig, p0, dp, horizon = case(random.Random(f"{case.__name__}:{seed}"))
+    got = crossing_times(sig, p0, dp, horizon)
+    assert got == dense_scan_oracle(sig, p0, dp, horizon)
+    assert got, "case was supposed to generate crossings"
+
+
+def _count_value_at(monkeypatch):
+    times = []
+    real = signalgen.value_at
+
+    def counted(signal, t):
+        times.append(t)
+        return real(signal, t)
+
+    monkeypatch.setattr(signalgen, "value_at", counted)
+    return times
+
+
+def test_crossing_search_calls_on_step_load(monkeypatch):
+    # Acceptance criterion 8's load: every piece is linear, so the search
+    # should need about two value_at calls per crossing.
+    edges = (7 * MS_PER_HOUR, 9 * MS_PER_HOUR, 18 * MS_PER_HOUR, 21 * MS_PER_HOUR)
+    sig = step_load_signal(
+        base_rate_per_hour=0.05,
+        intervals=[(edges[0], edges[1], 0.9), (edges[2], edges[3], 0.6)],
+    )
+    times = _count_value_at(monkeypatch)
+    got = crossing_times(sig, 0.0, 0.1, DAY_MS)
+    assert len(got) == 48
+    breakpoints = {0, *edges, DAY_MS}
+    search = [t for t in times if t not in breakpoints and t + 1 not in breakpoints]
+    assert len(search) <= 3 * len(got)
+
+
+def test_crossing_search_calls_on_sinusoid(monkeypatch):
+    # Curved pieces are interpolation's worst case; plain bisection needed
+    # 2 046 value_at calls for these 80 crossings.
+    sig = diurnal_signal(mean=20.0, amplitude=2.0, period=DAY_MS, phase=0)
+    times = _count_value_at(monkeypatch)
+    got = crossing_times(sig, 20.0, 0.1, DAY_MS)
+    assert len(got) == 80
+    assert len(times) <= 2046
 
 
 def test_crossings_exact_grid_boundary():
