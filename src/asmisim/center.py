@@ -9,6 +9,11 @@ latency. Whatever error remains (drift between syncs, jitter) stays in the
 corrected times: the uncertainty halfwidth is dp times the seq_no gap, so it
 reflects lost frames, not timing error.
 
+Every router forwards the same bytes, so a byte-identical copy of an
+accepted frame skips decode and goes straight to dedup: the CRC is checked
+once per distinct byte string. Any other record, a corrupted or truncated
+copy included, is decoded in full.
+
 Reconstruction is a zero-order hold over the per-sensor timeline: between
 records the last known grid level stands. Because every EVENT carries the
 absolute level_index, the reconstructed value at any accepted record's
@@ -18,15 +23,20 @@ matter how many earlier frames were lost.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
 from . import pi_protocol
-from .pi_protocol import MsgType
+from .pi_protocol import FRAME_LEN, MsgType
 from .router import ForwardedRecord
 from .sensor import SensorDescriptor
 from .simkernel import SimTime
+
+
+# sensor_id and seq_no as they sit on the wire, at bytes 1-8 of a frame.
+_WIRE_KEY = struct.Struct(">II")
 
 
 class UnknownSensor(Exception):
@@ -49,12 +59,14 @@ class Liveness(str, Enum):
     SILENT = "SILENT"
 
 
-@dataclass
+@dataclass(slots=True)
 class TimelineEntry:
     estimated_event_time: SimTime
     level_index: int
     msg_type: MsgType
     seq_no: int
+    # The accepted wire bytes; a byte-identical copy needs no decode.
+    frame_bytes: bytes = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -137,32 +149,44 @@ class MonitoringCenter:
 
     def ingest(self, rec: ForwardedRecord) -> IngestOutcome:
         """Process one forwarded record; every outcome is a returned status."""
-        frame = self._try_decode(rec.frame_bytes)
-        if frame is None:
-            self.counters["malformed"] += 1
-            return IngestOutcome.MALFORMED
-        if frame.sensor_id not in self.sensors:
-            self._quarantine.append(rec)
-            self.counters["quarantined"] += 1
-            return IngestOutcome.QUARANTINED
+        data = rec.frame_bytes
+        existing = None
+        if len(data) == FRAME_LEN:
+            sensor_id, seq_no = _WIRE_KEY.unpack_from(data, 1)
+            per_sensor = self._entries.get(sensor_id)
+            if per_sensor is not None:
+                existing = per_sensor.get(seq_no)
+                if existing is not None and existing.frame_bytes != data:
+                    existing = None
+        if existing is None:
+            frame = self._try_decode(data)
+            if frame is None:
+                self.counters["malformed"] += 1
+                return IngestOutcome.MALFORMED
+            sensor_id = frame.sensor_id
+            if sensor_id not in self.sensors:
+                self._quarantine.append(rec)
+                self.counters["quarantined"] += 1
+                return IngestOutcome.QUARANTINED
+            per_sensor = self._entries.setdefault(sensor_id, {})
+            existing = per_sensor.get(frame.seq_no)
+            if existing is None:
+                per_sensor[frame.seq_no] = TimelineEntry(
+                    estimated_event_time=self._corrected_time(rec),
+                    level_index=frame.level_index,
+                    msg_type=frame.msg_type,
+                    seq_no=frame.seq_no,
+                    frame_bytes=bytes(data),
+                )
+                self._sorted_cache.pop(sensor_id, None)
+                self.counters["accepted"] += 1
+                return IngestOutcome.ACCEPTED
         corrected = self._corrected_time(rec)
-        per_sensor = self._entries.setdefault(frame.sensor_id, {})
-        existing = per_sensor.get(frame.seq_no)
-        if existing is not None:
-            if corrected < existing.estimated_event_time:
-                existing.estimated_event_time = corrected
-                self._sorted_cache.pop(frame.sensor_id, None)
-            self.counters["deduped"] += 1
-            return IngestOutcome.DUPLICATE
-        per_sensor[frame.seq_no] = TimelineEntry(
-            estimated_event_time=corrected,
-            level_index=frame.level_index,
-            msg_type=frame.msg_type,
-            seq_no=frame.seq_no,
-        )
-        self._sorted_cache.pop(frame.sensor_id, None)
-        self.counters["accepted"] += 1
-        return IngestOutcome.ACCEPTED
+        if corrected < existing.estimated_event_time:
+            existing.estimated_event_time = corrected
+            self._sorted_cache.pop(sensor_id, None)
+        self.counters["deduped"] += 1
+        return IngestOutcome.DUPLICATE
 
     # -- queries ----------------------------------------------------------
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from itertools import count
 from pathlib import Path
 
 from . import baseline as ami
@@ -115,19 +116,12 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
         "radio_lost": 0,
         "dropped": 0,
     }
-    seqs = {"radio": 0, "ingest": 0}
+    radio_seq = count()
+    ingest_seq = count()
     transport_rows: list[dict] = []
     spec = scenario.channel
     end_of_receipt = scenario.horizon + spec.latency + spec.jitter
     end_of_run = end_of_receipt + scenario.backhaul_delay
-
-    def deliver_action(router_id: int, data: bytes, at: SimTime):
-        state = router_states[router_id]
-
-        def action() -> None:
-            router.receive(state, data, at)
-
-        return action
 
     def emit(frame, t: SimTime) -> None:
         attempts = len(scenario.coverage.routers_for(frame.sensor_id))
@@ -137,8 +131,8 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
         counters["radio_lost"] += attempts - len(deliveries)
         data = radio.frame_bytes(frame)
         for router_id, at in deliveries:
-            kernel.schedule(at, (RANK_RADIO, router_id, seqs["radio"]), deliver_action(router_id, data, at))
-            seqs["radio"] += 1
+            key = (RANK_RADIO, router_id, next(radio_seq))
+            kernel.schedule(at, key, router.receive, router_states[router_id], data, at)
 
     sensor_states: dict[int, SensorState] = {}
     for descriptor in scenario.sensors:
@@ -156,55 +150,39 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
                 }
             )
 
-    def ship(batch: list[router.ForwardedRecord], at: SimTime) -> None:
-        """Send one flushed batch over the (reliable, ordered) backhaul."""
-        if not batch:
-            return
-        log_batch(batch)
-        router_id = batch[0].router_id
+    def ingest_batch(batch: list[router.ForwardedRecord]) -> None:
+        for rec in batch:
+            center.ingest(rec)
 
-        def ingest_action() -> None:
-            for rec in batch:
-                center.ingest(rec)
+    def flush_tick(state: router.RouterState, at: SimTime) -> None:
+        """Ship one flushed batch over the (reliable, ordered) backhaul."""
+        batch = router.flush(state)
+        if batch:
+            log_batch(batch)
+            kernel.schedule(
+                at + scenario.backhaul_delay,
+                (RANK_CENTER, state.router_id, next(ingest_seq)),
+                ingest_batch,
+                batch,
+            )
+        nxt = at + state.flush_interval
+        if nxt <= end_of_receipt:
+            kernel.schedule(nxt, (RANK_ROUTER, state.router_id, nxt), flush_tick, state, nxt)
 
-        kernel.schedule(
-            at + scenario.backhaul_delay,
-            (RANK_CENTER, router_id, seqs["ingest"]),
-            ingest_action,
-        )
-        seqs["ingest"] += 1
+    def sync_tick(state: router.RouterState, at: SimTime) -> None:
+        router.apply_time_sync(state, at)
+        nxt = at + scenario.sync_interval
+        if nxt <= scenario.horizon:
+            kernel.schedule(nxt, (RANK_CENTER, state.router_id, nxt), sync_tick, state, nxt)
 
-    def flush_action(router_id: int, at: SimTime):
-        state = router_states[router_id]
-
-        def action() -> None:
-            ship(router.flush(state), at)
-            nxt = at + state.flush_interval
-            if nxt <= end_of_receipt:
-                kernel.schedule(nxt, (RANK_ROUTER, router_id, nxt), flush_action(router_id, nxt))
-
-        return action
-
-    for rdef in scenario.routers:
-        first = rdef.flush_interval
+    for state in router_states.values():
+        first = state.flush_interval
         if first <= end_of_receipt:
-            kernel.schedule(first, (RANK_ROUTER, rdef.router_id, first), flush_action(rdef.router_id, first))
-
-    def sync_action(router_id: int, at: SimTime):
-        state = router_states[router_id]
-
-        def action() -> None:
-            router.apply_time_sync(state, at)
-            nxt = at + scenario.sync_interval
-            if nxt <= scenario.horizon:
-                kernel.schedule(nxt, (RANK_CENTER, router_id, nxt), sync_action(router_id, nxt))
-
-        return action
-
-    for rdef in scenario.routers:
+            kernel.schedule(first, (RANK_ROUTER, state.router_id, first), flush_tick, state, first)
+    for state in router_states.values():
         first = scenario.sync_interval
         if first <= scenario.horizon:
-            kernel.schedule(first, (RANK_CENTER, rdef.router_id, first), sync_action(rdef.router_id, first))
+            kernel.schedule(first, (RANK_CENTER, state.router_id, first), sync_tick, state, first)
 
     kernel.run_until(end_of_run)
 
@@ -212,8 +190,7 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
     for router_id in sorted(router_states):
         batch = router.flush(router_states[router_id])
         log_batch(batch)
-        for rec in batch:
-            center.ingest(rec)
+        ingest_batch(batch)
 
     counters["dropped"] = sum(s.dropped for s in router_states.values())
     counters["accepted"] = center.counters["accepted"]

@@ -118,41 +118,40 @@ def sampling_driver(
 ) -> SensorState:
     """Wire a sensor into a kernel for the whole horizon.
 
-    Observations are scheduled at the exact crossing instants the signal
-    oracle reports, so emission times match true crossing times to the
-    millisecond; the status schedule is laid out alongside. `emit` is
-    called as emit(frame, t) for every frame, in kernel order. Crossings
-    are scheduled before heartbeats, so at a shared instant the EVENT
-    precedes the STATUS.
+    Observations fire at the exact crossing instants the signal oracle
+    reports, so emission times match true crossing times to the
+    millisecond; STATUS frames follow the status schedule. Both schedules
+    are chained lazily, not laid out for the whole horizon: the sensor keeps
+    at most one pending crossing event and one pending status event, and
+    each schedules its successor when it fires. `emit` is called as
+    emit(frame, t) for every frame, in kernel order. A crossing's key is
+    (RANK_SENSOR, sensor_id, 0) and a status's (RANK_SENSOR, sensor_id, 1),
+    so at a shared instant the EVENT precedes the STATUS.
     """
     state = new_state(descriptor)
-    seq = 0
+    crossing_key = (RANK_SENSOR, descriptor.sensor_id, 0)
+    status_key = (RANK_SENSOR, descriptor.sensor_id, 1)
+    interval = descriptor.status_interval
+    crossings = crossing_times(signal, descriptor.p0, descriptor.dp, horizon)
+    instants = iter(sorted({t for t, _direction in crossings}))
 
-    def observe_action(t: SimTime):
-        def action() -> None:
-            for frame in observe(state, descriptor, t, value_at(signal, t)):
-                emit(frame, t)
+    def crossing(t: SimTime) -> None:
+        for frame in observe(state, descriptor, t, value_at(signal, t)):
+            emit(frame, t)
+        nxt = next(instants, None)
+        if nxt is not None:
+            kernel.schedule(nxt, crossing_key, crossing, nxt)
 
-        return action
+    def status(t: SimTime) -> None:
+        frame = heartbeat(state, descriptor, t)
+        if frame is not None:
+            emit(frame, t)
+        if t + interval <= horizon:
+            kernel.schedule(t + interval, status_key, status, t + interval)
 
-    def status_action(t: SimTime):
-        def action() -> None:
-            frame = heartbeat(state, descriptor, t)
-            if frame is not None:
-                emit(frame, t)
-
-        return action
-
-    seen: set[SimTime] = set()
-    for t, _direction in crossing_times(signal, descriptor.p0, descriptor.dp, horizon):
-        if t in seen:
-            continue
-        seen.add(t)
-        kernel.schedule(t, (RANK_SENSOR, descriptor.sensor_id, seq), observe_action(t))
-        seq += 1
-    due = descriptor.status_interval
-    while due <= horizon:
-        kernel.schedule(due, (RANK_SENSOR, descriptor.sensor_id, seq), status_action(due))
-        seq += 1
-        due += descriptor.status_interval
+    first = next(instants, None)
+    if first is not None:
+        kernel.schedule(first, crossing_key, crossing, first)
+    if interval <= horizon:
+        kernel.schedule(interval, status_key, status, interval)
     return state

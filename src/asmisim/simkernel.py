@@ -2,8 +2,10 @@
 
 All simulated actions are totally ordered by (fire time, priority key,
 insertion order) and executed single-threaded, so a run is a pure function
-of its schedule. Time is integer milliseconds; there is no floating-point
-time anywhere in the kernel.
+of its schedule. An event is a callable and its arguments, stored as they
+are and called when the event fires, so scheduling builds no closure. Time
+is integer milliseconds; there is no floating-point time anywhere in the
+kernel.
 """
 
 from __future__ import annotations
@@ -60,20 +62,22 @@ class Kernel:
         self,
         fire_at: SimTime,
         priority_key: tuple[int, int, int],
-        action: Callable[[], None],
+        fn: Callable[..., object],
+        *args: object,
     ) -> int:
-        """Schedule `action` to run exactly once at `fire_at`.
+        """Schedule `fn(*args)` to run exactly once at `fire_at`.
 
         `priority_key` is (actor-class rank, actor id, per-actor sequence);
         it breaks ties among events with equal fire times. Returns an opaque
         handle identifying the insertion.
         """
-        fire_at = as_simtime(fire_at)
+        if type(fire_at) is not int or not 0 <= fire_at <= MAX_SIMTIME:
+            fire_at = as_simtime(fire_at)
         if fire_at < self._now:
             raise SchedulingInPast(f"fire_at={fire_at} < now={self._now}")
         handle = self._insertions
-        self._insertions += 1
-        heapq.heappush(self._heap, (fire_at, priority_key, handle, action))
+        self._insertions = handle + 1
+        heapq.heappush(self._heap, (fire_at, priority_key, handle, fn, args))
         return handle
 
     def run_until(self, t_end: SimTime) -> int:
@@ -85,11 +89,13 @@ class Kernel:
         t_end = as_simtime(t_end)
         if t_end < self._now:
             raise ValueError(f"t_end={t_end} is before now={self._now}")
+        heap = self._heap
+        pop = heapq.heappop
         fired = 0
-        while self._heap and self._heap[0][0] <= t_end:
-            fire_at, _key, _handle, action = heapq.heappop(self._heap)
+        while heap and heap[0][0] <= t_end:
+            fire_at, _key, _handle, fn, args = pop(heap)
             self._now = fire_at
-            action()
+            fn(*args)
             fired += 1
         self._now = t_end
         self._fired += fired

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from asmisim import pi_protocol
 from asmisim.center import (
     DuplicateRegistration,
     IngestOutcome,
@@ -105,6 +106,67 @@ def test_duplicates_keep_earliest_corrected_time():
     [entry] = center.timeline(1)
     assert entry.estimated_event_time == 10_000
 
+
+
+def test_bad_crc_copy_of_accepted_frame_is_malformed():
+    center = MonitoringCenter()
+    center.register_sensor(meter())
+    center.register_router(1)
+    good = record(1, 1, at=10_040)
+    assert center.ingest(good) is IngestOutcome.ACCEPTED
+    before = [(e.estimated_event_time, e.level_index, e.seq_no) for e in center.timeline(1)]
+    data = good.frame_bytes
+    bad_crc = ForwardedRecord(1, data[:-1] + bytes([data[-1] ^ 0xFF]), 10_000)
+    assert center.ingest(bad_crc) is IngestOutcome.MALFORMED
+    assert center.counters == {"accepted": 1, "deduped": 0, "quarantined": 0, "malformed": 1}
+    assert [(e.estimated_event_time, e.level_index, e.seq_no) for e in center.timeline(1)] == before
+
+
+def test_truncated_prefix_of_accepted_frame_is_malformed():
+    center = MonitoringCenter()
+    center.register_sensor(meter())
+    good = record(1, 1, at=10_040)
+    center.ingest(good)
+    for cut in (13, 9, 5):
+        truncated = ForwardedRecord(1, good.frame_bytes[:cut], 10_000)
+        assert center.ingest(truncated) is IngestOutcome.MALFORMED
+    assert center.counters["malformed"] == 3
+    [entry] = center.timeline(1)
+    assert entry.estimated_event_time == 10_040
+
+
+def test_same_seq_with_other_level_is_duplicate():
+    center = MonitoringCenter()
+    center.register_sensor(meter())
+    assert center.ingest(record(1, 1, at=10_040)) is IngestOutcome.ACCEPTED
+    # validly encoded, same (sensor_id, seq_no), different bytes
+    assert center.ingest(record(1, 5, at=10_000)) is IngestOutcome.DUPLICATE
+    [entry] = center.timeline(1)
+    assert (entry.level_index, entry.estimated_event_time) == (1, 10_000)
+    assert center.counters["deduped"] == 1
+
+
+def test_identical_copies_decode_once_and_keep_earliest_time(monkeypatch):
+    decodes = []
+    real_decode = pi_protocol.decode
+
+    def counting_decode(data):
+        decodes.append(data)
+        return real_decode(data)
+
+    monkeypatch.setattr(pi_protocol, "decode", counting_decode)
+    center = MonitoringCenter()
+    center.register_sensor(meter())
+    for rid in (1, 2, 3):
+        center.register_router(rid)
+    outcomes = [
+        center.ingest(record(1, 1, router_id=rid, at=at))
+        for rid, at in ((1, 10_040), (2, 10_010), (3, 10_025))
+    ]
+    assert outcomes == [IngestOutcome.ACCEPTED, IngestOutcome.DUPLICATE, IngestOutcome.DUPLICATE]
+    assert len(decodes) == 1
+    [entry] = center.timeline(1)
+    assert entry.estimated_event_time == 10_010
 
 def test_corrected_time_subtracts_residual_and_latency():
     center = MonitoringCenter(nominal_latency=50)

@@ -1,5 +1,6 @@
 import copy
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -295,6 +296,45 @@ def test_run_summary_has_exactly_the_contract_keys(tmp_path):
     paths = runner.write_outputs(result, tmp_path)
     summary = json.loads(paths["run_summary.json"].read_text())
     assert list(summary) == ["emitted", "delivered", "deduped", "quarantined", "malformed", "dropped"]
+
+
+
+# sha256 of the four output files, recorded before the kernel, sensor
+# scheduling and center ingest were reworked for speed. Any change to event
+# order, loss draws, jitter, clock correction or dedup moves at least one.
+GOLDEN_OUTPUT_DIGESTS = {
+    "lossy_jittery": {
+        "comparison.csv": "7ec9ae80f5c8fb78a17345fbf401deb681bceb0c3f19417d360fc97061d6cd7b",
+        "run_summary.json": "d4fd51a45682c5a40a8b16dc3f0a4262c7dce4c1e349838fa409c906a00fb063",
+        "timeline.csv": "c09af0ed8403e4a16364ec3b0a6953e73efe4c2f79ab1ad421cbcfbcaab4bdef",
+        "transport.jsonl": "6c3817730de6a2c99461aef49b0fe4122928e9321cffb90593bf71235ba2bbc8",
+    },
+    "drift_residual": {
+        "comparison.csv": "1e31d31c257c21ac59944afbf87242c77753bb1d8e3e7322768fc7a59cab10f0",
+        "run_summary.json": "d4fd51a45682c5a40a8b16dc3f0a4262c7dce4c1e349838fa409c906a00fb063",
+        "timeline.csv": "260d382e6e1687916e1d90a3f3b5f611396574cb024b2d0cbad0a0b32c7b61f0",
+        "transport.jsonl": "c7a6957aa141ecac029d704353f6026dfdb713b03e6eef9dc5a2ee541d2ffc31",
+    },
+}
+
+
+def _golden_variant(name):
+    """no_loss_three_routers made lossy and jittery as in criterion 6;
+    drift_residual also gives each router its own drift and sync residual."""
+    doc = json.loads((SCENARIO_DIR / "no_loss_three_routers.json").read_text())
+    doc["channel"] = {"loss_prob": 0.25, "latency": 50, "jitter": 15}
+    if name == "drift_residual":
+        for rdef, (ppm, residual) in zip(doc["routers"], [(40.0, 12), (-25.0, -30), (7.5, 0)]):
+            rdef["drift_ppm"] = ppm
+            rdef["sync_residual"] = residual
+    return scenario.validate(doc)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUT_DIGESTS))
+def test_outputs_match_golden_digests(name, tmp_path):
+    paths = runner.write_outputs(runner.run_scenario(_golden_variant(name)), tmp_path)
+    digests = {f: hashlib.sha256(path.read_bytes()).hexdigest() for f, path in paths.items()}
+    assert digests == GOLDEN_OUTPUT_DIGESTS[name]
 
 
 # ------------------------------------------------------------------- cli

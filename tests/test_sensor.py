@@ -200,3 +200,35 @@ def test_event_precedes_status_at_shared_instant():
         (3_600_000, MsgType.EVENT, 3),
         (3_600_000, MsgType.STATUS, 4),
     ]
+
+
+def test_driver_keeps_at_most_two_pending_events():
+    sig = step_load_signal(
+        base_rate_per_hour=0.05,
+        intervals=[(MS_PER_HOUR, 2 * MS_PER_HOUR, 6.0), (10 * MS_PER_HOUR, 10 * MS_PER_HOUR + 600_000, 2.5)],
+        horizon=DAY,
+    )
+    kernel = Kernel()
+    emitted = []
+    pending = []
+    d = monotonic(dp=0.1, status_interval=60_000)
+
+    def emit(frame, t):
+        emitted.append((t, frame.msg_type, frame.seq_no))
+        pending.append(kernel.pending())
+
+    sampling_driver(d, sig, kernel, DAY, emit)
+    assert kernel.pending() <= 2
+    kernel.run_until(DAY)
+    assert max(pending) <= 2
+    crossings = [t for t, _ in crossing_times(sig, d.p0, d.dp, DAY)]
+    statuses = set(range(60_000, DAY + 1, 60_000))
+    expected = []
+    for t in sorted(set(crossings) | statuses):
+        expected += [(t, MsgType.EVENT)] * crossings.count(t)
+        if t in statuses:
+            expected.append((t, MsgType.STATUS))
+    assert [(t, m) for t, m, _ in emitted] == expected
+    assert [seq for _, _, seq in emitted] == list(range(1, len(expected) + 1))
+    shared = set(crossings) & statuses
+    assert shared, "the load must put crossings on status instants"

@@ -123,6 +123,35 @@ def test_simtime_overflow():
         Kernel().schedule(MAX_SIMTIME + 1, (RANK_SENSOR, 0, 0), lambda: None)
 
 
+@pytest.mark.parametrize("bad", [1.5, True, -1, MAX_SIMTIME + 1])
+def test_schedule_rejects_non_simtime(bad):
+    kernel = Kernel()
+    with pytest.raises(SimTimeOverflow):
+        kernel.schedule(bad, (RANK_SENSOR, 0, 0), lambda: None)
+    assert kernel.pending() == 0
+
+
+def test_schedule_passes_args_to_callable():
+    kernel = Kernel()
+    log = []
+    kernel.schedule(3, (RANK_SENSOR, 0, 0), lambda a, b: log.append((a, b)), "a", 2)
+    kernel.schedule(4, (RANK_SENSOR, 0, 0), log.append, "one")
+    kernel.run_until(10)
+    assert log == [("a", 2), "one"]
+
+
+def test_args_events_and_lambdas_share_one_order():
+    kernel = Kernel()
+    log = []
+    kernel.schedule(5, (RANK_RADIO, 0, 0), log.append, "radio")
+    kernel.schedule(5, (RANK_SENSOR, 1, 0), lambda: log.append("sensor1-first"))
+    kernel.schedule(5, (RANK_SENSOR, 1, 0), log.append, "sensor1-second")
+    kernel.schedule(5, (RANK_SENSOR, 0, 1), lambda: log.append("sensor0"))
+    kernel.schedule(4, (RANK_CENTER, 0, 0), log.append, "earlier")
+    kernel.run_until(5)
+    assert log == ["earlier", "sensor0", "sensor1-first", "sensor1-second", "radio"]
+
+
 def test_counts():
     kernel = Kernel()
     for i in range(5):
