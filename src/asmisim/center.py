@@ -14,6 +14,11 @@ accepted frame skips decode and goes straight to dedup: the CRC is checked
 once per distinct byte string. Any other record, a corrupted or truncated
 copy included, is decoded in full.
 
+Each sensor's timeline is kept in (estimated time, seq_no) order at
+ingest, so queries read it as it stands. A frame from a sensor not yet
+registered is quarantined under its sensor id; registering the sensor
+replays only its own frames, in arrival order.
+
 Reconstruction is a zero-order hold over the per-sensor timeline: between
 records the last known grid level stands. Because every EVENT carries the
 absolute level_index, the reconstructed value at any accepted record's
@@ -24,9 +29,10 @@ matter how many earlier frames were lost.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count
 
 from . import pi_protocol
 from .pi_protocol import FRAME_LEN, MsgType
@@ -69,6 +75,34 @@ class TimelineEntry:
     frame_bytes: bytes = field(repr=False)
 
 
+@dataclass(slots=True)
+class _Timeline:
+    """One sensor's accepted entries: by seq_no for dedup, and in
+    (estimated time, seq_no) order with a parallel list of their times."""
+
+    by_seq: dict[int, TimelineEntry] = field(default_factory=dict)
+    entries: list[TimelineEntry] = field(default_factory=list)
+    times: list[SimTime] = field(default_factory=list)
+
+    def place(self, entry: TimelineEntry) -> None:
+        """Bisect on time, then step back over equal times with higher seq_no."""
+        t = entry.estimated_event_time
+        i = bisect_right(self.times, t)
+        while i and self.times[i - 1] == t and self.entries[i - 1].seq_no > entry.seq_no:
+            i -= 1
+        self.entries.insert(i, entry)
+        self.times.insert(i, t)
+
+    def move(self, entry: TimelineEntry, t: SimTime) -> None:
+        """Re-place a placed entry whose time is lowered to t."""
+        i = bisect_left(self.times, entry.estimated_event_time)
+        while self.entries[i] is not entry:
+            i += 1
+        del self.entries[i], self.times[i]
+        entry.estimated_event_time = t
+        self.place(entry)
+
+
 @dataclass(frozen=True)
 class RegisteredSensor:
     descriptor: SensorDescriptor
@@ -97,16 +131,11 @@ class MonitoringCenter:
         self.nominal_latency = nominal_latency
         self.sensors: dict[int, RegisteredSensor] = {}
         self.routers: dict[int, RegisteredRouter] = {}
-        self.counters: dict[str, int] = {
-            "accepted": 0,
-            "deduped": 0,
-            "quarantined": 0,
-            "malformed": 0,
-        }
-        self._entries: dict[int, dict[int, TimelineEntry]] = {}
-        self._quarantine: list[ForwardedRecord] = []
-        # sensor_id -> (entries sorted by (time, seq), their times) for bisect
-        self._sorted_cache: dict[int, tuple[list[TimelineEntry], list[SimTime]]] = {}
+        self.counters: dict[str, int] = {"accepted": 0, "deduped": 0, "quarantined": 0, "malformed": 0}
+        self._timelines: dict[int, _Timeline] = {}
+        # sensor_id -> [(arrival number, record)] for sensors not yet registered
+        self._quarantine: dict[int, list[tuple[int, ForwardedRecord]]] = {}
+        self._arrivals = count()
 
     # -- registry ---------------------------------------------------------
 
@@ -115,15 +144,8 @@ class MonitoringCenter:
         if descriptor.sensor_id in self.sensors:
             raise DuplicateRegistration(f"sensor {descriptor.sensor_id}")
         self.sensors[descriptor.sensor_id] = RegisteredSensor(descriptor, location)
-        held, rest = [], []
-        for rec in self._quarantine:
-            frame = self._try_decode(rec.frame_bytes)
-            if frame is not None and frame.sensor_id == descriptor.sensor_id:
-                held.append(rec)
-            else:
-                rest.append(rec)
-        self._quarantine = rest
-        for rec in held:
+        self._timelines[descriptor.sensor_id] = _Timeline()
+        for _, rec in self._quarantine.pop(descriptor.sensor_id, ()):
             self.counters["quarantined"] -= 1
             self.ingest(rec)
 
@@ -131,16 +153,10 @@ class MonitoringCenter:
         self.routers[router_id] = RegisteredRouter(location, sync_residual)
 
     def quarantined_records(self) -> list[ForwardedRecord]:
-        return list(self._quarantine)
+        """Records held for unregistered sensors, in global arrival order."""
+        return [rec for _, rec in sorted(p for held in self._quarantine.values() for p in held)]
 
     # -- ingest -----------------------------------------------------------
-
-    @staticmethod
-    def _try_decode(data: bytes):
-        try:
-            return pi_protocol.decode(data)
-        except pi_protocol.PiProtocolError:
-            return None
 
     def _corrected_time(self, rec: ForwardedRecord) -> SimTime:
         registered = self.routers.get(rec.router_id)
@@ -150,67 +166,52 @@ class MonitoringCenter:
     def ingest(self, rec: ForwardedRecord) -> IngestOutcome:
         """Process one forwarded record; every outcome is a returned status."""
         data = rec.frame_bytes
-        existing = None
+        store = existing = None
         if len(data) == FRAME_LEN:
             sensor_id, seq_no = _WIRE_KEY.unpack_from(data, 1)
-            per_sensor = self._entries.get(sensor_id)
-            if per_sensor is not None:
-                existing = per_sensor.get(seq_no)
+            store = self._timelines.get(sensor_id)
+            if store is not None:
+                existing = store.by_seq.get(seq_no)
                 if existing is not None and existing.frame_bytes != data:
                     existing = None
         if existing is None:
-            frame = self._try_decode(data)
-            if frame is None:
+            try:
+                frame = pi_protocol.decode(data)
+            except pi_protocol.PiProtocolError:
                 self.counters["malformed"] += 1
                 return IngestOutcome.MALFORMED
-            sensor_id = frame.sensor_id
-            if sensor_id not in self.sensors:
-                self._quarantine.append(rec)
+            # decode takes only FRAME_LEN bytes: `store` is this frame's sensor's
+            if store is None:
+                self._quarantine.setdefault(frame.sensor_id, []).append((next(self._arrivals), rec))
                 self.counters["quarantined"] += 1
                 return IngestOutcome.QUARANTINED
-            per_sensor = self._entries.setdefault(sensor_id, {})
-            existing = per_sensor.get(frame.seq_no)
+            existing = store.by_seq.get(frame.seq_no)
             if existing is None:
-                per_sensor[frame.seq_no] = TimelineEntry(
-                    estimated_event_time=self._corrected_time(rec),
-                    level_index=frame.level_index,
-                    msg_type=frame.msg_type,
-                    seq_no=frame.seq_no,
-                    frame_bytes=bytes(data),
+                entry = TimelineEntry(
+                    self._corrected_time(rec), frame.level_index, frame.msg_type, frame.seq_no, bytes(data)
                 )
-                self._sorted_cache.pop(sensor_id, None)
+                store.by_seq[frame.seq_no] = entry
+                store.place(entry)
                 self.counters["accepted"] += 1
                 return IngestOutcome.ACCEPTED
         corrected = self._corrected_time(rec)
         if corrected < existing.estimated_event_time:
-            existing.estimated_event_time = corrected
-            self._sorted_cache.pop(sensor_id, None)
+            store.move(existing, corrected)
         self.counters["deduped"] += 1
         return IngestOutcome.DUPLICATE
 
     # -- queries ----------------------------------------------------------
 
-    def _descriptor(self, sensor_id: int) -> SensorDescriptor:
+    def _sensor(self, sensor_id: int) -> tuple[SensorDescriptor, _Timeline]:
         registered = self.sensors.get(sensor_id)
         if registered is None:
             raise UnknownSensor(f"sensor {sensor_id}")
-        return registered.descriptor
-
-    def _timeline_with_times(self, sensor_id: int) -> tuple[list[TimelineEntry], list[SimTime]]:
-        cached = self._sorted_cache.get(sensor_id)
-        if cached is None:
-            entries = sorted(
-                self._entries.get(sensor_id, {}).values(),
-                key=lambda e: (e.estimated_event_time, e.seq_no),
-            )
-            cached = (entries, [e.estimated_event_time for e in entries])
-            self._sorted_cache[sensor_id] = cached
-        return cached
+        return registered.descriptor, self._timelines[sensor_id]
 
     def timeline(self, sensor_id: int) -> list[TimelineEntry]:
-        """Accepted records ordered by (estimated time, seq_no)."""
-        self._descriptor(sensor_id)
-        return self._timeline_with_times(sensor_id)[0]
+        """Accepted records in (estimated time, seq_no) order, as ingest keeps
+        them; a copy that later ingests do not change."""
+        return list(self._sensor(sensor_id)[1].entries)
 
     def reconstruct(self, sensor_id: int, t: SimTime) -> tuple[float, float]:
         """Zero-order-hold value estimate at t, with uncertainty halfwidth.
@@ -219,9 +220,9 @@ class MonitoringCenter:
         records bracketing t (at least one quantum): a run of unseen frames
         widens it, a fully observed stretch keeps it at dp.
         """
-        descriptor = self._descriptor(sensor_id)
-        entries, times = self._timeline_with_times(sensor_id)
-        idx = bisect_right(times, t) - 1
+        descriptor, store = self._sensor(sensor_id)
+        entries = store.entries
+        idx = bisect_right(store.times, t) - 1
         before = entries[idx] if idx >= 0 else None
         after = entries[idx + 1] if idx + 1 < len(entries) else None
         level = before.level_index if before is not None else 0
@@ -252,8 +253,7 @@ class MonitoringCenter:
 
     def detect_gaps(self, sensor_id: int) -> list[tuple[int, int]]:
         """Maximal missing seq_no ranges between the lowest and highest seen."""
-        self._descriptor(sensor_id)
-        seqs = sorted(self._entries.get(sensor_id, {}).keys())
+        seqs = sorted(self._sensor(sensor_id)[1].by_seq)
         gaps = []
         for prev, cur in zip(seqs, seqs[1:]):
             if cur > prev + 1:
@@ -262,9 +262,8 @@ class MonitoringCenter:
 
     def liveness(self, sensor_id: int, now: SimTime) -> Liveness:
         """SILENT once nothing has been heard for over two status intervals."""
-        descriptor = self._descriptor(sensor_id)
-        entries = self.timeline(sensor_id)
-        last = entries[-1].estimated_event_time if entries else 0
+        descriptor, store = self._sensor(sensor_id)
+        last = store.times[-1] if store.times else 0
         if now - last > 2 * descriptor.status_interval:
             return Liveness.SILENT
         return Liveness.OK
@@ -282,7 +281,7 @@ class MonitoringCenter:
         for sensor_id in sorted(self.sensors):
             descriptor = self.sensors[sensor_id].descriptor
             prev_seq = 0
-            for entry in self.timeline(sensor_id):
+            for entry in self._timelines[sensor_id].entries:
                 value = descriptor.p0 + descriptor.dp * entry.level_index
                 uncertainty = descriptor.dp * max(1, entry.seq_no - prev_seq)
                 rows.append(

@@ -19,7 +19,6 @@ MAX_SIMTIME = 2**64 - 1
 
 # Actor-class ranks used as the first component of priority keys. At equal
 # fire times, upstream actors act before downstream ones.
-RANK_SIGNAL = 0
 RANK_SENSOR = 1
 RANK_RADIO = 2
 RANK_ROUTER = 3

@@ -329,3 +329,136 @@ def test_timeline_rows_sorted_and_self_describing():
         (1, 3, "STATUS", 900, 3, 1.75, 0.5),  # seq 2 missing: doubled halfwidth
         (2, 1, "EVENT", 500, 1, 0.5, 0.5),
     ]
+
+
+def test_registration_replays_only_its_own_quarantined_frames(monkeypatch):
+    decodes = []
+    real_decode = pi_protocol.decode
+
+    def counting_decode(data):
+        decodes.append(data)
+        return real_decode(data)
+
+    monkeypatch.setattr(pi_protocol, "decode", counting_decode)
+    n = 2_000
+    center = MonitoringCenter()
+    center.register_router(1)
+    for sensor_id in range(n):
+        assert center.ingest(record(1, 1, sensor_id=sensor_id)) is IngestOutcome.QUARANTINED
+    for sensor_id in range(n):
+        center.register_sensor(meter(sensor_id=sensor_id))
+    assert len(decodes) <= 2 * n
+    assert center.counters == {"accepted": n, "deduped": 0, "quarantined": 0, "malformed": 0}
+    assert center.quarantined_records() == []
+
+
+def test_quarantine_keeps_global_arrival_order_across_registration():
+    center = MonitoringCenter()
+    center.register_router(1)
+    keys = [(7, 1), (8, 1), (9, 1), (8, 2), (7, 2), (9, 2), (8, 3), (7, 3)]
+    arrivals = [record(seq, seq, sensor_id=sensor_id, at=1_000 * i) for i, (sensor_id, seq) in enumerate(keys)]
+    for rec in arrivals:
+        assert center.ingest(rec) is IngestOutcome.QUARANTINED
+    assert center.quarantined_records() == arrivals
+    center.register_sensor(meter(sensor_id=8))
+    assert center.quarantined_records() == [rec for (sensor_id, _), rec in zip(keys, arrivals) if sensor_id != 8]
+    assert [e.seq_no for e in center.timeline(8)] == [1, 2, 3]
+    assert center.counters == {"accepted": 3, "deduped": 0, "quarantined": 5, "malformed": 0}
+
+
+def _zero_order_hold(descriptor, ordered, t):
+    """Brute-force reconstruct over entries ordered by (time, seq_no)."""
+    before = after = None
+    for entry in ordered:
+        if entry[0] <= t:
+            before = entry
+        elif after is None:
+            after = entry
+    level = before[2] if before is not None else 0
+    gap = after[1] - (before[1] if before is not None else 0) if after is not None else 1
+    return descriptor.p0 + descriptor.dp * level, descriptor.dp * max(1, gap)
+
+
+def test_timeline_stays_ordered_under_hostile_arrival_orders():
+    descriptor = meter(dp=0.5, p0=1.0)
+    rng = random.Random(11)
+    for _ in range(20):
+        center = MonitoringCenter()
+        center.register_sensor(descriptor)
+        residuals = {1: 0, 2: 300, 3: -300}
+        for rid, residual in residuals.items():
+            center.register_router(rid, sync_residual=residual)
+        # Coarse receipt times on three routers whose residuals shift them by
+        # whole steps: many copies land on equal corrected times, and later
+        # copies often lower an entry already placed. One copy in five
+        # carries another level, so both the byte-identical and the decoded
+        # duplicate path lower placed entries.
+        recs = [
+            record(seq, seq if rng.random() < 0.8 else -seq, router_id=rid, at=300 * rng.randrange(0, 12))
+            for seq in range(1, 25)
+            for rid in rng.sample(sorted(residuals), rng.randrange(1, 4))
+        ]
+        rng.shuffle(recs)
+        model = {}  # seq_no -> [earliest corrected time, seq_no, level of first copy]
+        for rec in recs:
+            frame = pi_protocol.decode(rec.frame_bytes)
+            corrected = rec.local_receipt_time - residuals[rec.router_id]
+            kept = model.setdefault(frame.seq_no, [corrected, frame.seq_no, frame.level_index])
+            kept[0] = min(kept[0], corrected)
+            center.ingest(rec)
+            ordered = sorted(model.values())
+            assert [(e.estimated_event_time, e.seq_no, e.level_index) for e in center.timeline(1)] == [
+                tuple(entry) for entry in ordered
+            ]
+        for t in range(-600, 4_200, 150):
+            assert center.reconstruct(1, t) == _zero_order_hold(descriptor, ordered, t)
+        assert center.liveness(1, ordered[-1][0] + 2 * H6) is Liveness.OK
+        assert center.liveness(1, ordered[-1][0] + 2 * H6 + 1) is Liveness.SILENT
+
+
+def _hostile_records(rng, count):
+    """Random bytes, and frames of random ids that are bit-flipped,
+    truncated, or CRC-correct around any header byte."""
+    sensor_ids = (1, 2, 3, 9, 2**32 - 1)
+    for _ in range(count):
+        sensor_id = rng.choice(sensor_ids) if rng.random() < 0.7 else rng.getrandbits(32)
+        seq_no = rng.randrange(0, 64) if rng.random() < 0.7 else rng.getrandbits(32)
+        level = rng.randrange(-(2**31), 2**31)
+        msg_type = rng.choice((MsgType.EVENT, MsgType.STATUS))
+        body = encode(PiFrame(msg_type, sensor_id, seq_no, level))[:13]
+        if rng.random() < 0.2:
+            body = bytes((rng.getrandbits(8),)) + body[1:]
+        frame = body + bytes((pi_protocol.crc8(body),))
+        kind = rng.randrange(4)
+        if kind == 0:
+            data = rng.randbytes(rng.randrange(0, 101))
+        elif kind == 1:
+            flipped = int.from_bytes(frame, "big")
+            for bit in rng.sample(range(8 * len(frame)), rng.randrange(1, 4)):
+                flipped ^= 1 << bit
+            data = flipped.to_bytes(len(frame), "big")
+        elif kind == 2:
+            data = frame[: rng.randrange(0, len(frame))]
+        else:
+            data = frame
+        yield ForwardedRecord(rng.randrange(0, 5), data, rng.randrange(-(2**40), 2**40))
+
+
+def test_hostile_records_are_counted_and_never_raise():
+    center = MonitoringCenter(nominal_latency=50)
+    for sensor_id in (1, 2, 3):
+        center.register_sensor(meter(sensor_id=sensor_id))
+    for rid, residual in ((1, 0), (2, -7), (3, 12)):
+        center.register_router(rid, sync_residual=residual)
+    n = 50_000
+    outcomes = {outcome: 0 for outcome in IngestOutcome}
+    for rec in _hostile_records(random.Random(1234), n):
+        outcomes[center.ingest(rec)] += 1
+    assert all(outcomes.values()), outcomes
+    assert sum(center.counters.values()) == n
+    center.register_sensor(meter(sensor_id=9))
+    assert sum(center.counters.values()) == n
+    for sensor_id in (1, 2, 3, 9):
+        keys = [(e.estimated_event_time, e.seq_no) for e in center.timeline(sensor_id)]
+        assert keys == sorted(keys)
+        assert len(set(seq for _, seq in keys)) == len(keys)

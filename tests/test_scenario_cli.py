@@ -3,11 +3,14 @@ import csv
 import hashlib
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
 
 from asmisim import baseline, cli, runner, scenario
+from asmisim.center import MonitoringCenter
+from asmisim.router import ForwardedRecord
 from asmisim.signalgen import value_at
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -122,6 +125,44 @@ def test_bad_channel_and_baseline_fields():
         scenario.validate(doc)
     paths = {path for path, _ in err.value.errors}
     assert {"channel.loss_prob", "channel.latency", "baseline.enabled", "baseline.dt", "sync_interval"} <= paths
+
+
+def _paths(node, path=()):
+    """Every (container, key) path into a parsed JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+HOSTILE_VALUES = (None, True, "x", "", [], {}, math.nan, math.inf, -math.inf, 2**70, -(2**70), -1, 0, 0.5, -0.5)
+
+
+def test_hostile_mutations_validate_or_raise_validation_error():
+    text = (SCENARIO_DIR / "burst_day.json").read_text()
+    paths = list(_paths(json.loads(text)))
+    rng = random.Random(2024)
+    outcomes = {"valid": 0, "rejected": 0}
+    for _ in range(3_000):
+        doc = json.loads(text)
+        for path in rng.sample(paths, rng.randrange(1, 4)):
+            parent = doc
+            try:
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]]
+            except (KeyError, IndexError, TypeError):
+                continue  # an earlier mutation already replaced this path
+            if isinstance(parent, dict) and rng.random() < 0.2:
+                del parent[path[-1]]
+            elif isinstance(parent, (dict, list)):
+                parent[path[-1]] = copy.deepcopy(rng.choice(HOSTILE_VALUES))
+        try:
+            assert isinstance(scenario.validate(doc), scenario.Scenario)
+            outcomes["valid"] += 1
+        except scenario.ScenarioValidationError:
+            outcomes["rejected"] += 1
+    assert all(outcomes.values())
 
 
 def test_load_uses_filename_as_default_id(tmp_path):
@@ -335,6 +376,35 @@ def test_outputs_match_golden_digests(name, tmp_path):
     paths = runner.write_outputs(runner.run_scenario(_golden_variant(name)), tmp_path)
     digests = {f: hashlib.sha256(path.read_bytes()).hexdigest() for f, path in paths.items()}
     assert digests == GOLDEN_OUTPUT_DIGESTS[name]
+
+
+def test_center_result_does_not_depend_on_arrival_order():
+    sc = _golden_variant("drift_residual")
+    result = runner.run_scenario(sc)
+    records = [
+        ForwardedRecord(row["router_id"], bytes.fromhex(row["frame_hex"]), row["local_receipt_time_ms"])
+        for row in result.transport_rows
+    ]
+    late = {d.sensor_id for d in sc.sensors[::2]}
+    expected = {key: result.center.counters[key] for key in ("accepted", "deduped", "malformed")}
+    assert expected["deduped"] > 0
+    for seed in range(3):
+        random.Random(seed).shuffle(records)
+        center = MonitoringCenter(nominal_latency=sc.channel.latency)
+        for rdef in sc.routers:
+            center.register_router(rdef.router_id, rdef.location, rdef.sync_residual)
+        for descriptor in sc.sensors:
+            if descriptor.sensor_id not in late:
+                center.register_sensor(descriptor)
+        for rec in records:
+            center.ingest(rec)
+        assert center.counters["quarantined"] > 0
+        for descriptor in sc.sensors:
+            if descriptor.sensor_id in late:
+                center.register_sensor(descriptor)
+        assert center.timeline_rows() == result.center.timeline_rows()
+        assert {key: center.counters[key] for key in expected} == expected
+        assert center.counters["quarantined"] == 0
 
 
 # ------------------------------------------------------------------- cli
