@@ -10,7 +10,9 @@ between polls.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .signalgen import Signal, value_at
 from .simkernel import SimTime
@@ -55,12 +57,12 @@ def poll(signal: Signal, dt: SimTime, horizon: SimTime) -> list[AmiSample]:
 
 
 def reconstruct_ami(samples: list[AmiSample], t: SimTime, p0: float = 0.0) -> float:
-    """Zero-order hold: latest sample at or before t, else the prior p0."""
-    best = None
-    for s in samples:
-        if s.t <= t and (best is None or s.t > best.t):
-            best = s
-    return best.value if best is not None else p0
+    """Zero-order hold: latest sample at or before t, else the prior p0.
+
+    samples must be in time order, as poll returns them.
+    """
+    i = bisect_right(samples, t, key=attrgetter("t"))
+    return samples[i - 1].value if i else p0
 
 
 def hold_error(

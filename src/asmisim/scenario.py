@@ -3,11 +3,18 @@
 Validation is all-at-once: every problem in the document is reported with
 its field path in a single pass, so a batch user fixes a config in one
 round trip instead of replaying the simulator error by error.
+
+Each kind of value has one check: an integer in [lo, hi] (hi is the
+kernel's MAX_SIMTIME unless a field says otherwise), a finite number in
+[lo, hi], a string, a list of objects. NaN or a time past MAX_SIMTIME
+never gets past load.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,6 +27,7 @@ from .signalgen import (
     SignalKind,
     StepLoadSpec,
 )
+from .simkernel import MAX_SIMTIME
 
 DEFAULT_LATENCY = 50
 DEFAULT_FLUSH_INTERVAL = 60_000
@@ -81,331 +89,241 @@ class Scenario:
     outputs: str = "out"
 
 
+POSITIVE_MS = "must be a positive integer (milliseconds)"
+NON_NEGATIVE_MS = "must be a non-negative integer (milliseconds)"
+ANY_MS = "must be an integer (milliseconds)"
+NON_NEGATIVE_NUMBER = "must be a non-negative number"
+
+# Bounds are inclusive. The float range rejects NaN, the infinities and integers
+# too large for a float; the least float above zero makes "at or above" mean "above".
+FLOAT_MAX = sys.float_info.max
+ABOVE_ZERO = math.ulp(0.0)
+
+Errors = list[tuple[str, str]]
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_num(x) -> bool:
-    return _is_int(x) or isinstance(x, float)
+def _fail(errors: Errors, where: str, key: str, message: str) -> None:
+    errors.append((f"{where}.{key}" if where else key, message))
+
+
+def _int(
+    errors: Errors, raw: dict, where: str, key: str, default, message: str, lo=0, hi=MAX_SIMTIME
+) -> int | None:
+    """raw[key] if it is an integer in [lo, hi], else record message and return None."""
+    value = raw.get(key, default)
+    if isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi:
+        return value
+    _fail(errors, where, key, message)
+    return None
+
+
+def _num(
+    errors: Errors, raw: dict, where: str, key: str, default, message: str, lo=-FLOAT_MAX, hi=FLOAT_MAX
+) -> float | None:
+    """raw[key] as a float if it is a finite number in [lo, hi], else record message and return None."""
+    value = raw.get(key, default)
+    if (isinstance(value, float) or _is_int(value)) and lo <= value <= hi:
+        return float(value)
+    _fail(errors, where, key, message)
+    return None
+
+
+def _text(errors: Errors, raw: dict, where: str, key: str, default, message: str, min_len=1) -> str | None:
+    value = raw.get(key, default)
+    if isinstance(value, str) and len(value) >= min_len:
+        return value
+    _fail(errors, where, key, message)
+    return None
+
+
+def _objects(errors: Errors, raw: dict, where: str, key: str, required: bool = True):
+    """Yield (path, object) for each object in the list raw[key]; record any other item.
+
+    A required list must be present and non-empty; an optional one defaults to empty.
+    """
+    items = raw.get(key, None if required else [])
+    if not isinstance(items, list) or (required and not items):
+        _fail(errors, where, key, "must be a non-empty list" if required else "must be a list")
+        return
+    for i, item in enumerate(items):
+        path = f"{where}.{key}[{i}]" if where else f"{key}[{i}]"
+        if isinstance(item, dict):
+            yield path, item
+        else:
+            errors.append((path, "must be an object"))
+
+
+def _object(errors: Errors, doc: dict, key: str) -> dict:
+    """The optional object doc[key]; an absent or invalid one reads as empty."""
+    value = doc.get(key, {})
+    if isinstance(value, dict):
+        return value
+    errors.append((key, "must be an object"))
+    return {}
+
+
+def _signal(errors: Errors, path: str, raw: dict, sid: str, unit: str) -> SignalDef | None:
+    """One signal's definition; None when its kind or spec is unusable."""
+    kind = raw.get("kind")
+    if kind == "cumulative":
+        base = _num(errors, raw, path, "base_rate_per_hour", 0, NON_NEGATIVE_NUMBER, lo=0)
+        intervals = []
+        for ipath, iv in _objects(errors, raw, path, "intervals", required=False):
+            start = _int(errors, iv, ipath, "start", None, "must be a non-negative integer")
+            end_lo = -MAX_SIMTIME if start is None else start + 1
+            end = _int(errors, iv, ipath, "end", None, "must be an integer greater than start", lo=end_lo)
+            rate = _num(errors, iv, ipath, "rate_per_hour", None, NON_NEGATIVE_NUMBER, lo=0)
+            if None not in (start, end, rate):
+                intervals.append(LoadInterval(start, end, rate))
+        # A cumulative signal stays known to its sensors even when its rates
+        # are invalid, so one bad rate does not also fail every sensor on it.
+        spec = StepLoadSpec(0.0 if base is None else base, tuple(intervals))
+        return SignalDef(sid, SignalKind.CUMULATIVE, unit, spec)
+    if kind == "ambient":
+        values = (
+            _num(errors, raw, path, "mean", 0.0, "must be a number"),
+            _num(errors, raw, path, "amplitude", 0.0, "must be a number"),
+            _int(errors, raw, path, "period", DAY_MS, POSITIVE_MS, lo=1),
+            _int(errors, raw, path, "phase", 0, ANY_MS, lo=-MAX_SIMTIME),
+            _num(errors, raw, path, "noise_sigma", 0.0, NON_NEGATIVE_NUMBER, lo=0),
+            _int(errors, raw, path, "noise_step", 60_000, POSITIVE_MS, lo=1),
+        )
+        return None if None in values else SignalDef(sid, SignalKind.AMBIENT, unit, DiurnalSpec(*values))
+    _fail(errors, path, "kind", "must be 'cumulative' or 'ambient'")
+    return None
 
 
 def validate(doc: dict) -> Scenario:
     """Check a parsed config document; raises ScenarioValidationError."""
-    errors: list[tuple[str, str]] = []
-
-    def bad(path: str, message: str) -> None:
-        errors.append((path, message))
-
     if not isinstance(doc, dict):
         raise ScenarioValidationError([("", "config must be a JSON object")])
+    errors: Errors = []
 
-    scenario_id = doc.get("scenario_id", "scenario")
-    if not isinstance(scenario_id, str) or not scenario_id:
-        bad("scenario_id", "must be a non-empty string")
-        scenario_id = "scenario"
+    scenario_id = _text(errors, doc, "", "scenario_id", "scenario", "must be a non-empty string")
+    seed = _int(errors, doc, "", "seed", 0, "must be an unsigned 64-bit integer", hi=MAX_SEED)
+    horizon = _int(errors, doc, "", "horizon", None, POSITIVE_MS, lo=1)
 
-    seed = doc.get("seed", 0)
-    if not _is_int(seed) or not (0 <= seed <= MAX_SEED):
-        bad("seed", "must be an unsigned 64-bit integer")
-        seed = 0
-
-    horizon = doc.get("horizon")
-    if not _is_int(horizon) or horizon <= 0:
-        bad("horizon", "must be a positive integer (milliseconds)")
-        horizon = 1
-
-    # --- signals ---
     signals: dict[str, SignalDef] = {}
-    raw_signals = doc.get("signals")
-    if not isinstance(raw_signals, list) or not raw_signals:
-        bad("signals", "must be a non-empty list")
-        raw_signals = []
-    for i, raw in enumerate(raw_signals):
-        path = f"signals[{i}]"
-        if not isinstance(raw, dict):
-            bad(path, "must be an object")
-            continue
-        sid = raw.get("id")
-        if not isinstance(sid, str) or not sid:
-            bad(f"{path}.id", "must be a non-empty string")
+    for path, raw in _objects(errors, doc, "", "signals"):
+        sid = _text(errors, raw, path, "id", None, "must be a non-empty string")
+        if sid is None:
             continue
         if sid in signals:
-            bad(f"{path}.id", f"duplicate signal id {sid!r}")
+            _fail(errors, path, "id", f"duplicate signal id {sid!r}")
             continue
-        unit = raw.get("unit", "")
-        if not isinstance(unit, str):
-            bad(f"{path}.unit", "must be a string")
-            unit = ""
-        kind_raw = raw.get("kind")
-        if kind_raw == "cumulative":
-            base = raw.get("base_rate_per_hour", 0)
-            if not _is_num(base) or base < 0:
-                bad(f"{path}.base_rate_per_hour", "must be a non-negative number")
-                base = 0
-            intervals = []
-            raw_intervals = raw.get("intervals", [])
-            if not isinstance(raw_intervals, list):
-                bad(f"{path}.intervals", "must be a list")
-                raw_intervals = []
-            for j, iv in enumerate(raw_intervals):
-                ipath = f"{path}.intervals[{j}]"
-                if not isinstance(iv, dict):
-                    bad(ipath, "must be an object")
-                    continue
-                start, end = iv.get("start"), iv.get("end")
-                rate = iv.get("rate_per_hour")
-                ok = True
-                if not _is_int(start) or start < 0:
-                    bad(f"{ipath}.start", "must be a non-negative integer")
-                    ok = False
-                if not _is_int(end) or (ok and end <= start):
-                    bad(f"{ipath}.end", "must be an integer greater than start")
-                    ok = False
-                if not _is_num(rate) or rate < 0:
-                    bad(f"{ipath}.rate_per_hour", "must be a non-negative number")
-                    ok = False
-                if ok:
-                    intervals.append(LoadInterval(start, end, float(rate)))
-            spec: StepLoadSpec | DiurnalSpec = StepLoadSpec(
-                base_rate_per_hour=float(base), intervals=tuple(intervals)
-            )
-            signals[sid] = SignalDef(sid, SignalKind.CUMULATIVE, unit, spec)
-        elif kind_raw == "ambient":
-            mean = raw.get("mean", 0.0)
-            amplitude = raw.get("amplitude", 0.0)
-            period = raw.get("period", DAY_MS)
-            phase = raw.get("phase", 0)
-            noise_sigma = raw.get("noise_sigma", 0.0)
-            noise_step = raw.get("noise_step", 60_000)
-            ok = True
-            if not _is_num(mean):
-                bad(f"{path}.mean", "must be a number")
-                ok = False
-            if not _is_num(amplitude):
-                bad(f"{path}.amplitude", "must be a number")
-                ok = False
-            if not _is_int(period) or period <= 0:
-                bad(f"{path}.period", "must be a positive integer (milliseconds)")
-                ok = False
-            if not _is_int(phase):
-                bad(f"{path}.phase", "must be an integer (milliseconds)")
-                ok = False
-            if not _is_num(noise_sigma) or noise_sigma < 0:
-                bad(f"{path}.noise_sigma", "must be a non-negative number")
-                ok = False
-            if not _is_int(noise_step) or noise_step <= 0:
-                bad(f"{path}.noise_step", "must be a positive integer (milliseconds)")
-                ok = False
-            if ok:
-                spec = DiurnalSpec(
-                    mean=float(mean),
-                    amplitude=float(amplitude),
-                    period=period,
-                    phase=phase,
-                    noise_sigma=float(noise_sigma),
-                    noise_step=noise_step,
-                )
-                signals[sid] = SignalDef(sid, SignalKind.AMBIENT, unit, spec)
-        else:
-            bad(f"{path}.kind", "must be 'cumulative' or 'ambient'")
+        unit = _text(errors, raw, path, "unit", "", "must be a string", min_len=0)
+        sdef = _signal(errors, path, raw, sid, unit or "")
+        if sdef is not None:
+            signals[sid] = sdef
 
-    # --- sensors ---
     sensors: list[SensorDescriptor] = []
     sensor_locations: dict[int, str] = {}
-    seen_sensor_ids: set[int] = set()
-    raw_sensors = doc.get("sensors")
-    if not isinstance(raw_sensors, list) or not raw_sensors:
-        bad("sensors", "must be a non-empty list")
-        raw_sensors = []
-    for i, raw in enumerate(raw_sensors):
-        path = f"sensors[{i}]"
-        if not isinstance(raw, dict):
-            bad(path, "must be an object")
-            continue
-        ok = True
-        sensor_id = raw.get("sensor_id")
-        if not _is_int(sensor_id) or not (0 <= sensor_id <= MAX_SENSOR_ID):
-            bad(f"{path}.sensor_id", "must be an unsigned 32-bit integer")
-            ok = False
-        elif sensor_id in seen_sensor_ids:
-            bad(f"{path}.sensor_id", f"duplicate sensor id {sensor_id}")
-            ok = False
-        dp = raw.get("dP")
-        if not _is_num(dp) or dp <= 0:
-            bad(f"{path}.dP", "dP must be positive")
-            ok = False
-        p0 = raw.get("P0", 0.0)
-        if not _is_num(p0):
-            bad(f"{path}.P0", "must be a number")
-            ok = False
-        mode_raw = raw.get("mode")
-        mode = None
-        if mode_raw in (SensorMode.MONOTONIC.value, SensorMode.BIDIRECTIONAL.value):
-            mode = SensorMode(mode_raw)
-        else:
-            bad(f"{path}.mode", "must be 'MONOTONIC' or 'BIDIRECTIONAL'")
-            ok = False
-        status_interval = raw.get("status_interval")
-        if not _is_int(status_interval) or status_interval <= 0:
-            bad(f"{path}.status_interval", "must be a positive integer (milliseconds)")
-            ok = False
+    for path, raw in _objects(errors, doc, "", "sensors"):
+        sensor_id = _int(
+            errors, raw, path, "sensor_id", None, "must be an unsigned 32-bit integer", hi=MAX_SENSOR_ID
+        )
+        if sensor_id in sensor_locations:
+            _fail(errors, path, "sensor_id", f"duplicate sensor id {sensor_id}")
+            sensor_id = None
+        dp = _num(errors, raw, path, "dP", None, "dP must be positive", lo=ABOVE_ZERO)
+        p0 = _num(errors, raw, path, "P0", 0.0, "must be a number")
+        mode = SensorMode(raw["mode"]) if raw.get("mode") in ("MONOTONIC", "BIDIRECTIONAL") else None
+        if mode is None:
+            _fail(errors, path, "mode", "must be 'MONOTONIC' or 'BIDIRECTIONAL'")
+        status_interval = _int(errors, raw, path, "status_interval", None, POSITIVE_MS, lo=1)
         signal_ref = raw.get("signal")
         if not isinstance(signal_ref, str) or signal_ref not in signals:
-            bad(f"{path}.signal", f"unknown signal id {signal_ref!r}")
-            ok = False
+            _fail(errors, path, "signal", f"unknown signal id {signal_ref!r}")
+            signal_ref = None
         elif mode is SensorMode.MONOTONIC and signals[signal_ref].kind is not SignalKind.CUMULATIVE:
-            bad(f"{path}.mode", "MONOTONIC requires a cumulative signal")
-            ok = False
-        parameter = raw.get("parameter", "")
-        unit = raw.get("unit", "")
-        location = raw.get("location", "")
-        if not ok:
+            _fail(errors, path, "mode", "MONOTONIC requires a cumulative signal")
+            mode = None
+        if None in (sensor_id, dp, p0, mode, status_interval, signal_ref):
             continue
-        seen_sensor_ids.add(sensor_id)
         sensors.append(
             SensorDescriptor(
                 sensor_id=sensor_id,
-                parameter=str(parameter),
-                unit=str(unit),
-                dp=float(dp),
-                p0=float(p0),
+                parameter=str(raw.get("parameter", "")),
+                unit=str(raw.get("unit", "")),
+                dp=dp,
+                p0=p0,
                 mode=mode,
                 status_interval=status_interval,
                 signal_id=signal_ref,
             )
         )
-        sensor_locations[sensor_id] = str(location)
+        sensor_locations[sensor_id] = str(raw.get("location", ""))
 
-    # --- routers ---
-    routers: list[RouterDef] = []
-    seen_router_ids: set[int] = set()
-    raw_routers = doc.get("routers")
-    if not isinstance(raw_routers, list) or not raw_routers:
-        bad("routers", "must be a non-empty list")
-        raw_routers = []
-    for i, raw in enumerate(raw_routers):
-        path = f"routers[{i}]"
-        if not isinstance(raw, dict):
-            bad(path, "must be an object")
-            continue
-        ok = True
-        router_id = raw.get("id")
-        if not _is_int(router_id) or router_id < 0:
-            bad(f"{path}.id", "must be a non-negative integer")
-            ok = False
-        elif router_id in seen_router_ids:
-            bad(f"{path}.id", f"duplicate router id {router_id}")
-            ok = False
-        flush_interval = raw.get("flush_interval", DEFAULT_FLUSH_INTERVAL)
-        if not _is_int(flush_interval) or flush_interval <= 0:
-            bad(f"{path}.flush_interval", "must be a positive integer (milliseconds)")
-            ok = False
-        drift_ppm = raw.get("drift_ppm", 0.0)
-        if not _is_num(drift_ppm):
-            bad(f"{path}.drift_ppm", "must be a number")
-            ok = False
-        sync_residual = raw.get("sync_residual", 0)
-        if not _is_int(sync_residual):
-            bad(f"{path}.sync_residual", "must be an integer (milliseconds)")
-            ok = False
-        location = raw.get("location", "")
-        if not ok:
-            continue
-        seen_router_ids.add(router_id)
-        routers.append(
-            RouterDef(
-                router_id=router_id,
-                location=str(location),
-                flush_interval=flush_interval,
-                drift_ppm=float(drift_ppm),
-                sync_residual=sync_residual,
+    routers: dict[int, RouterDef] = {}
+    for path, raw in _objects(errors, doc, "", "routers"):
+        router_id = _int(errors, raw, path, "id", None, "must be a non-negative integer")
+        if router_id in routers:
+            _fail(errors, path, "id", f"duplicate router id {router_id}")
+            router_id = None
+        flush_interval = _int(errors, raw, path, "flush_interval", DEFAULT_FLUSH_INTERVAL, POSITIVE_MS, lo=1)
+        drift_ppm = _num(errors, raw, path, "drift_ppm", 0.0, "must be a number")
+        sync_residual = _int(errors, raw, path, "sync_residual", 0, ANY_MS, lo=-MAX_SIMTIME)
+        if None not in (router_id, flush_interval, drift_ppm, sync_residual):
+            routers[router_id] = RouterDef(
+                router_id, str(raw.get("location", "")), flush_interval, drift_ppm, sync_residual
             )
-        )
 
-    # --- coverage ---
     coverage_raw = doc.get("coverage")
-    covering: dict[int, tuple[int, ...]] = {}
+    covering: dict[int, list[int]] = {}
     if not isinstance(coverage_raw, dict):
-        bad("coverage", "must be an object mapping sensor id to router id list")
+        errors.append(("coverage", "must be an object mapping sensor id to router id list"))
         coverage_raw = {}
     for key, val in sorted(coverage_raw.items()):
         path = f"coverage.{key}"
         try:
             sensor_id = int(key)
         except (TypeError, ValueError):
-            bad(path, "key must be a sensor id")
+            errors.append((path, "key must be a sensor id"))
             continue
-        if sensor_id not in seen_sensor_ids:
-            bad(path, f"unknown sensor id {sensor_id}")
+        if sensor_id not in sensor_locations:
+            errors.append((path, f"unknown sensor id {sensor_id}"))
             continue
         if not isinstance(val, list) or not val:
-            bad(path, "must be a non-empty list of router ids")
+            errors.append((path, "must be a non-empty list of router ids"))
             continue
-        ids = []
-        ok = True
-        for rid in val:
-            if not _is_int(rid) or rid not in seen_router_ids:
-                bad(path, f"unknown router id {rid}")
-                ok = False
-            else:
-                ids.append(rid)
-        if ok:
-            covering[sensor_id] = tuple(sorted(set(ids)))
-    for sensor_id in sorted(seen_sensor_ids):
+        unknown = [rid for rid in val if not _is_int(rid) or rid not in routers]
+        errors.extend((path, f"unknown router id {rid}") for rid in unknown)
+        if not unknown:
+            covering[sensor_id] = val
+    for sensor_id in sorted(sensor_locations):
         if str(sensor_id) not in coverage_raw:
-            bad(f"coverage.{sensor_id}", "sensor has no covering router")
+            errors.append((f"coverage.{sensor_id}", "sensor has no covering router"))
 
-    # --- channel ---
-    channel_raw = doc.get("channel", {})
-    if not isinstance(channel_raw, dict):
-        bad("channel", "must be an object")
-        channel_raw = {}
-    loss_prob = channel_raw.get("loss_prob", 0.0)
-    if not _is_num(loss_prob) or not (0.0 <= loss_prob <= 1.0):
-        bad("channel.loss_prob", "must be a probability in [0, 1]")
-        loss_prob = 0.0
-    latency = channel_raw.get("latency", DEFAULT_LATENCY)
-    if not _is_int(latency) or latency < 0:
-        bad("channel.latency", "must be a non-negative integer (milliseconds)")
-        latency = DEFAULT_LATENCY
-    jitter = channel_raw.get("jitter", 0)
-    if not _is_int(jitter) or jitter < 0:
-        bad("channel.jitter", "must be a non-negative integer (milliseconds)")
-        jitter = 0
+    channel_raw = _object(errors, doc, "channel")
+    loss_prob = _num(
+        errors, channel_raw, "channel", "loss_prob", 0.0, "must be a probability in [0, 1]", lo=0, hi=1
+    )
+    latency = _int(errors, channel_raw, "channel", "latency", DEFAULT_LATENCY, NON_NEGATIVE_MS)
+    jitter = _int(errors, channel_raw, "channel", "jitter", 0, NON_NEGATIVE_MS)
+    sync_interval = _int(errors, doc, "", "sync_interval", DEFAULT_SYNC_INTERVAL, POSITIVE_MS, lo=1)
+    backhaul_delay = _int(errors, doc, "", "backhaul_delay", DEFAULT_BACKHAUL_DELAY, NON_NEGATIVE_MS)
+    error_grid = _int(errors, doc, "", "error_grid", DEFAULT_ERROR_GRID, POSITIVE_MS, lo=1)
 
-    sync_interval = doc.get("sync_interval", DEFAULT_SYNC_INTERVAL)
-    if not _is_int(sync_interval) or sync_interval <= 0:
-        bad("sync_interval", "must be a positive integer (milliseconds)")
-        sync_interval = DEFAULT_SYNC_INTERVAL
-
-    backhaul_delay = doc.get("backhaul_delay", DEFAULT_BACKHAUL_DELAY)
-    if not _is_int(backhaul_delay) or backhaul_delay < 0:
-        bad("backhaul_delay", "must be a non-negative integer (milliseconds)")
-        backhaul_delay = DEFAULT_BACKHAUL_DELAY
-
-    error_grid = doc.get("error_grid", DEFAULT_ERROR_GRID)
-    if not _is_int(error_grid) or error_grid <= 0:
-        bad("error_grid", "must be a positive integer (milliseconds)")
-        error_grid = DEFAULT_ERROR_GRID
-
-    # --- baseline ---
-    baseline_raw = doc.get("baseline", {})
-    if not isinstance(baseline_raw, dict):
-        bad("baseline", "must be an object")
-        baseline_raw = {}
+    baseline_raw = _object(errors, doc, "baseline")
     enabled = baseline_raw.get("enabled", False)
     if not isinstance(enabled, bool):
-        bad("baseline.enabled", "must be a boolean")
-        enabled = False
+        errors.append(("baseline.enabled", "must be a boolean"))
     dt = baseline_raw.get("dt", "matched")
-    if dt != "matched" and (not _is_int(dt) or dt <= 0):
-        bad("baseline.dt", "must be a positive integer (milliseconds) or 'matched'")
-        dt = "matched"
+    if dt != "matched":
+        dt = _int(errors, baseline_raw, "baseline", "dt", None, POSITIVE_MS + " or 'matched'", lo=1)
 
-    outputs = doc.get("outputs", "out")
-    if not isinstance(outputs, str) or not outputs:
-        bad("outputs", "must be a non-empty string (directory path)")
-        outputs = "out"
+    outputs = _text(errors, doc, "", "outputs", "out", "must be a non-empty string (directory path)")
+
+    # The last delivery into the center is at horizon + latency + jitter +
+    # backhaul_delay, and every kernel time must stay inside MAX_SIMTIME.
+    times = (horizon, latency, jitter, backhaul_delay)
+    if None not in times and sum(times) > MAX_SIMTIME:
+        message = "plus channel.latency, channel.jitter and backhaul_delay must be at most 2**64-1"
+        errors.append(("horizon", message))
 
     if errors:
         raise ScenarioValidationError(errors)
@@ -417,9 +335,9 @@ def validate(doc: dict) -> Scenario:
         signals=signals,
         sensors=sensors,
         sensor_locations=sensor_locations,
-        routers=routers,
+        routers=list(routers.values()),
         coverage=CoverageMap.from_dict(covering),
-        channel=ChannelSpec(loss_prob=float(loss_prob), latency=latency, jitter=jitter),
+        channel=ChannelSpec(loss_prob=loss_prob, latency=latency, jitter=jitter),
         sync_interval=sync_interval,
         backhaul_delay=backhaul_delay,
         baseline=BaselineDef(enabled=enabled, dt=dt),
@@ -430,10 +348,11 @@ def validate(doc: dict) -> Scenario:
 
 def load(path: str | Path) -> Scenario:
     """Parse and validate a JSON scenario file."""
-    text = Path(path).read_text()
+    # ValueError covers malformed JSON, non-UTF-8 bytes and over-long integer
+    # literals; RecursionError covers nesting too deep for the parser.
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise ScenarioValidationError([("", f"invalid JSON: {exc}")]) from exc
     scenario = validate(doc)
     if "scenario_id" not in doc:

@@ -46,6 +46,28 @@ def test_reconstruct_ami_zero_order_hold():
     assert reconstruct_ami([], 500, p0=7.0) == 7.0
 
 
+def _scan_hold(samples, t, p0):
+    """Reference hold: the latest sample at or before t by a full scan."""
+    best = None
+    for s in samples:
+        if s.t <= t and (best is None or s.t > best.t):
+            best = s
+    return best.value if best is not None else p0
+
+
+def test_reconstruct_ami_matches_scan_on_poll_outputs():
+    rng = random.Random(7)
+    for _ in range(40):
+        sig = diurnal_signal(
+            mean=20.0, amplitude=rng.uniform(0.0, 5.0), noise_sigma=0.1, seed=rng.randrange(2**32), horizon=DAY
+        )
+        samples = poll(sig, rng.randrange(60_000, DAY // 4), DAY)
+        probes = [0, DAY] + [rng.randrange(DAY + 1) for _ in range(50)]
+        probes += [s.t + d for s in samples for d in (-1, 0, 1)]
+        for t in probes:
+            assert reconstruct_ami(samples, t, p0=-3.0) == _scan_hold(samples, t, -3.0)
+
+
 def test_error_stats_constant_signal_is_exact_zero():
     sig = step_load_signal(base_rate_per_hour=0.0)
     samples = poll(sig, 900_000, DAY)

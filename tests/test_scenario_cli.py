@@ -12,6 +12,7 @@ from asmisim import baseline, cli, runner, scenario
 from asmisim.center import MonitoringCenter
 from asmisim.router import ForwardedRecord
 from asmisim.signalgen import value_at
+from asmisim.simkernel import MAX_SIMTIME
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -127,6 +128,215 @@ def test_bad_channel_and_baseline_fields():
     assert {"channel.loss_prob", "channel.latency", "baseline.enabled", "baseline.dt", "sync_interval"} <= paths
 
 
+# Two documents that reach every scalar field check: one with each field of
+# the wrong type, one with each field just outside its range. The pinned
+# lists are the exact reports, in order, so a refactor of the checks cannot
+# change a message, a path or the order a user reads them in.
+WRONG_TYPES_DOC = {
+    "scenario_id": 5,
+    "seed": True,
+    "horizon": "1",
+    "signals": [
+        "x",
+        {"id": 7},
+        {"id": "k", "kind": None},
+        {"id": "c", "kind": "cumulative", "unit": 3, "base_rate_per_hour": "1", "intervals": "x"},
+        {
+            "id": "c2",
+            "kind": "cumulative",
+            "base_rate_per_hour": None,
+            "intervals": [None, {"start": "0", "end": None, "rate_per_hour": True}],
+        },
+        {
+            "id": "a",
+            "kind": "ambient",
+            "unit": [],
+            "mean": "20",
+            "amplitude": None,
+            "period": 1.5,
+            "phase": "0",
+            "noise_sigma": {},
+            "noise_step": True,
+        },
+    ],
+    "sensors": [
+        [],
+        {"sensor_id": "1", "dP": "0.1", "P0": None, "mode": 1, "status_interval": 1.0, "signal": 1},
+        {"sensor_id": 2, "dP": 0.1, "mode": "MONOTONIC", "status_interval": 1000, "signal": "c"},
+        {"sensor_id": 3, "dP": 0.1, "mode": "MONOTONIC", "status_interval": 1000, "signal": "c"},
+    ],
+    "routers": [
+        None,
+        {"id": 1.0, "flush_interval": "1", "drift_ppm": "0", "sync_residual": 0.5},
+        {"id": 2},
+    ],
+    "coverage": {"x": [2], "2": "2", "3": [True, "2", 2]},
+    "channel": {"loss_prob": "0", "latency": 1.5, "jitter": None},
+    "sync_interval": [],
+    "backhaul_delay": "500",
+    "error_grid": False,
+    "baseline": {"enabled": 1, "dt": "60000"},
+    "outputs": None,
+}
+
+OUT_OF_RANGE_DOC = {
+    "scenario_id": "",
+    "seed": -1,
+    "horizon": 0,
+    "signals": [
+        {"id": ""},
+        {
+            "id": "c",
+            "kind": "cumulative",
+            "base_rate_per_hour": -0.5,
+            "intervals": [
+                {"start": -1, "end": 10, "rate_per_hour": -1},
+                {"start": 10, "end": 10, "rate_per_hour": 0},
+                {"start": 20, "end": 5, "rate_per_hour": 1},
+            ],
+        },
+        {"id": "c", "kind": "cumulative"},
+        {"id": "k", "kind": "other"},
+        {
+            "id": "a",
+            "kind": "ambient",
+            "mean": -1e9,
+            "amplitude": -3,
+            "period": 0,
+            "phase": -5,
+            "noise_sigma": -0.1,
+            "noise_step": 0,
+        },
+        {"id": "t", "kind": "ambient", "mean": 20.0, "amplitude": 1.0},
+    ],
+    "sensors": [
+        {"sensor_id": -1, "dP": 0, "P0": -5, "mode": "monotonic", "status_interval": 0, "signal": "nope"},
+        {"sensor_id": 2**32, "dP": -0.1, "mode": "MONOTONIC", "status_interval": -1, "signal": "t"},
+        {"sensor_id": 4, "dP": 0.1, "mode": "BIDIRECTIONAL", "status_interval": 1000, "signal": "t"},
+        {"sensor_id": 4, "dP": 0.1, "mode": "BIDIRECTIONAL", "status_interval": 1000, "signal": "t"},
+        {"sensor_id": 5, "dP": 0.1, "mode": "MONOTONIC", "status_interval": 1000, "signal": "c"},
+        {"sensor_id": 6, "dP": 0.1, "mode": "MONOTONIC", "status_interval": 1000, "signal": "c"},
+    ],
+    "routers": [
+        {"id": -1, "flush_interval": 0, "drift_ppm": -1e6, "sync_residual": -10},
+        {"id": 1},
+        {"id": 1},
+        {"id": 2, "flush_interval": -5},
+    ],
+    "coverage": {"9": [1], "4": [], "5": [1, 3, -1]},
+    "channel": {"loss_prob": 1.5, "latency": -1, "jitter": -1},
+    "sync_interval": 0,
+    "backhaul_delay": -1,
+    "error_grid": 0,
+    "baseline": {"enabled": False, "dt": 0},
+    "outputs": "",
+}
+
+WRONG_TYPES_ERRORS = [
+    ("scenario_id", "must be a non-empty string"),
+    ("seed", "must be an unsigned 64-bit integer"),
+    ("horizon", "must be a positive integer (milliseconds)"),
+    ("signals[0]", "must be an object"),
+    ("signals[1].id", "must be a non-empty string"),
+    ("signals[2].kind", "must be 'cumulative' or 'ambient'"),
+    ("signals[3].unit", "must be a string"),
+    ("signals[3].base_rate_per_hour", "must be a non-negative number"),
+    ("signals[3].intervals", "must be a list"),
+    ("signals[4].base_rate_per_hour", "must be a non-negative number"),
+    ("signals[4].intervals[0]", "must be an object"),
+    ("signals[4].intervals[1].start", "must be a non-negative integer"),
+    ("signals[4].intervals[1].end", "must be an integer greater than start"),
+    ("signals[4].intervals[1].rate_per_hour", "must be a non-negative number"),
+    ("signals[5].unit", "must be a string"),
+    ("signals[5].mean", "must be a number"),
+    ("signals[5].amplitude", "must be a number"),
+    ("signals[5].period", "must be a positive integer (milliseconds)"),
+    ("signals[5].phase", "must be an integer (milliseconds)"),
+    ("signals[5].noise_sigma", "must be a non-negative number"),
+    ("signals[5].noise_step", "must be a positive integer (milliseconds)"),
+    ("sensors[0]", "must be an object"),
+    ("sensors[1].sensor_id", "must be an unsigned 32-bit integer"),
+    ("sensors[1].dP", "dP must be positive"),
+    ("sensors[1].P0", "must be a number"),
+    ("sensors[1].mode", "must be 'MONOTONIC' or 'BIDIRECTIONAL'"),
+    ("sensors[1].status_interval", "must be a positive integer (milliseconds)"),
+    ("sensors[1].signal", "unknown signal id 1"),
+    ("routers[0]", "must be an object"),
+    ("routers[1].id", "must be a non-negative integer"),
+    ("routers[1].flush_interval", "must be a positive integer (milliseconds)"),
+    ("routers[1].drift_ppm", "must be a number"),
+    ("routers[1].sync_residual", "must be an integer (milliseconds)"),
+    ("coverage.2", "must be a non-empty list of router ids"),
+    ("coverage.3", "unknown router id True"),
+    ("coverage.3", "unknown router id 2"),
+    ("coverage.x", "key must be a sensor id"),
+    ("channel.loss_prob", "must be a probability in [0, 1]"),
+    ("channel.latency", "must be a non-negative integer (milliseconds)"),
+    ("channel.jitter", "must be a non-negative integer (milliseconds)"),
+    ("sync_interval", "must be a positive integer (milliseconds)"),
+    ("backhaul_delay", "must be a non-negative integer (milliseconds)"),
+    ("error_grid", "must be a positive integer (milliseconds)"),
+    ("baseline.enabled", "must be a boolean"),
+    ("baseline.dt", "must be a positive integer (milliseconds) or 'matched'"),
+    ("outputs", "must be a non-empty string (directory path)"),
+]
+
+OUT_OF_RANGE_ERRORS = [
+    ("scenario_id", "must be a non-empty string"),
+    ("seed", "must be an unsigned 64-bit integer"),
+    ("horizon", "must be a positive integer (milliseconds)"),
+    ("signals[0].id", "must be a non-empty string"),
+    ("signals[1].base_rate_per_hour", "must be a non-negative number"),
+    ("signals[1].intervals[0].start", "must be a non-negative integer"),
+    ("signals[1].intervals[0].rate_per_hour", "must be a non-negative number"),
+    ("signals[1].intervals[1].end", "must be an integer greater than start"),
+    ("signals[1].intervals[2].end", "must be an integer greater than start"),
+    ("signals[2].id", "duplicate signal id 'c'"),
+    ("signals[3].kind", "must be 'cumulative' or 'ambient'"),
+    ("signals[4].period", "must be a positive integer (milliseconds)"),
+    ("signals[4].noise_sigma", "must be a non-negative number"),
+    ("signals[4].noise_step", "must be a positive integer (milliseconds)"),
+    ("sensors[0].sensor_id", "must be an unsigned 32-bit integer"),
+    ("sensors[0].dP", "dP must be positive"),
+    ("sensors[0].mode", "must be 'MONOTONIC' or 'BIDIRECTIONAL'"),
+    ("sensors[0].status_interval", "must be a positive integer (milliseconds)"),
+    ("sensors[0].signal", "unknown signal id 'nope'"),
+    ("sensors[1].sensor_id", "must be an unsigned 32-bit integer"),
+    ("sensors[1].dP", "dP must be positive"),
+    ("sensors[1].status_interval", "must be a positive integer (milliseconds)"),
+    ("sensors[1].mode", "MONOTONIC requires a cumulative signal"),
+    ("sensors[3].sensor_id", "duplicate sensor id 4"),
+    ("routers[0].id", "must be a non-negative integer"),
+    ("routers[0].flush_interval", "must be a positive integer (milliseconds)"),
+    ("routers[2].id", "duplicate router id 1"),
+    ("routers[3].flush_interval", "must be a positive integer (milliseconds)"),
+    ("coverage.4", "must be a non-empty list of router ids"),
+    ("coverage.5", "unknown router id 3"),
+    ("coverage.5", "unknown router id -1"),
+    ("coverage.9", "unknown sensor id 9"),
+    ("coverage.6", "sensor has no covering router"),
+    ("channel.loss_prob", "must be a probability in [0, 1]"),
+    ("channel.latency", "must be a non-negative integer (milliseconds)"),
+    ("channel.jitter", "must be a non-negative integer (milliseconds)"),
+    ("sync_interval", "must be a positive integer (milliseconds)"),
+    ("backhaul_delay", "must be a non-negative integer (milliseconds)"),
+    ("error_grid", "must be a positive integer (milliseconds)"),
+    ("baseline.dt", "must be a positive integer (milliseconds) or 'matched'"),
+    ("outputs", "must be a non-empty string (directory path)"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, expected",
+    [(WRONG_TYPES_DOC, WRONG_TYPES_ERRORS), (OUT_OF_RANGE_DOC, OUT_OF_RANGE_ERRORS)],
+    ids=["wrong_types", "out_of_range"],
+)
+def test_validation_messages_are_pinned(doc, expected):
+    with pytest.raises(scenario.ScenarioValidationError) as err:
+        scenario.validate(copy.deepcopy(doc))
+    assert err.value.errors == expected
+
+
 def _paths(node, path=()):
     """Every (container, key) path into a parsed JSON document."""
     items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
@@ -135,7 +345,12 @@ def _paths(node, path=()):
         yield from _paths(child, path + (key,))
 
 
-HOSTILE_VALUES = (None, True, "x", "", [], {}, math.nan, math.inf, -math.inf, 2**70, -(2**70), -1, 0, 0.5, -0.5)
+# A JSON integer too large for a float: float() of it raises OverflowError.
+HUGE_INT = json.loads("1" + "0" * 400)
+
+HOSTILE_VALUES = (
+    None, True, "x", "", [], {}, math.nan, math.inf, -math.inf, 2**70, -(2**70), HUGE_INT, -1, 0, 0.5, -0.5
+)
 
 
 def test_hostile_mutations_validate_or_raise_validation_error():
@@ -163,6 +378,69 @@ def test_hostile_mutations_validate_or_raise_validation_error():
         except scenario.ScenarioValidationError:
             outcomes["rejected"] += 1
     assert all(outcomes.values())
+
+
+TIME_FIELDS = (
+    ("horizon",),
+    ("sensors", 0, "status_interval"),
+    ("routers", 0, "flush_interval"),
+    ("channel", "latency"),
+    ("channel", "jitter"),
+    ("sync_interval",),
+    ("backhaul_delay",),
+    ("baseline", "dt"),
+)
+NUMBER_FIELDS = (
+    ("sensors", 0, "dP"),
+    ("sensors", 0, "P0"),
+    ("signals", 0, "base_rate_per_hour"),
+    ("signals", 0, "intervals", 0, "rate_per_hour"),
+    ("routers", 0, "drift_ppm"),
+)
+# burst_day.json runs to horizon + latency + jitter + backhaul_delay =
+# 86_400_000 + 50 + 0 + 500; each of these pushes that sum past MAX_SIMTIME.
+END_OF_RUN_OVERFLOWS = (
+    (("horizon",), MAX_SIMTIME),
+    (("channel", "latency"), 2**64 - 10),
+    (("channel", "jitter"), MAX_SIMTIME - 86_400_550 + 1),
+    (("backhaul_delay",), MAX_SIMTIME - 86_400_050 + 1),
+)
+OUT_OF_RANGE_CASES = (
+    [(path, value, path) for path in TIME_FIELDS for value in (2**64, 2**70, HUGE_INT)]
+    + [(path, value, path) for path in NUMBER_FIELDS for value in (math.nan, math.inf, -math.inf, HUGE_INT)]
+    + [(path, value, ("horizon",)) for path, value in END_OF_RUN_OVERFLOWS]
+)
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def _error_path(path):
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+
+
+def _case_id(case):
+    path, value, error_path = case
+    names = {MAX_SIMTIME: "2**64-1", 2**64: "2**64", 2**70: "2**70", HUGE_INT: "10**400"}
+    return f"{_error_path(path)}={'end_of_run' if error_path != path else names.get(value, value)}"
+
+
+@pytest.mark.parametrize("path, value, error_path", OUT_OF_RANGE_CASES, ids=map(_case_id, OUT_OF_RANGE_CASES))
+def test_values_the_run_cannot_use_raise_validation_error(path, value, error_path):
+    doc = json.loads((SCENARIO_DIR / "burst_day.json").read_text())
+    _set(doc, path, value)
+    with pytest.raises(scenario.ScenarioValidationError) as err:
+        scenario.validate(doc)
+    assert _error_path(error_path) in {p for p, _ in err.value.errors}
+
+
+def test_end_of_run_at_max_simtime_validates():
+    doc = json.loads((SCENARIO_DIR / "burst_day.json").read_text())
+    doc["backhaul_delay"] = MAX_SIMTIME - 86_400_050
+    assert scenario.validate(doc).backhaul_delay == MAX_SIMTIME - 86_400_050
 
 
 def test_load_uses_filename_as_default_id(tmp_path):
@@ -410,10 +688,11 @@ def test_center_result_does_not_depend_on_arrival_order():
 # ------------------------------------------------------------------- cli
 
 
-def test_cli_validate_ok(capsys):
-    assert cli.main(["validate", "--config", str(SCENARIO_DIR / "quiet_day.json")]) == 0
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_cli_validate_ok(path, capsys):
+    assert cli.main(["validate", "--config", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "ok: quiet_day" in out
+    assert f"ok: {path.stem}" in out
 
 
 def test_cli_validate_reports_errors(tmp_path, capsys):
@@ -424,6 +703,21 @@ def test_cli_validate_reports_errors(tmp_path, capsys):
     assert cli.main(["validate", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "dP must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b'{"scenario_id": "caf\xe9"}', b"[" * 100_000, b'{"seed": ' + b"1" * 5_000 + b"}"],
+    ids=["not_utf8", "too_deep", "integer_too_long"],
+)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_reports_unparseable_config(command, data, tmp_path, capsys):
+    path = tmp_path / "garbage.json"
+    path.write_bytes(data)
+    assert cli.main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: <document>: invalid JSON: ")
+    assert err.count("\n") == 1
 
 
 def test_cli_validate_missing_file(capsys):
