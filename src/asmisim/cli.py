@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from . import runner, scenario
+from .signalgen import SignalError
 
 
 class MissingOutputs(Exception):
@@ -68,7 +69,11 @@ def cmd_run(args) -> int:
     sc = _load(args.config)
     if sc is None:
         return 1
-    result = runner.run_scenario(sc, seed=args.seed)
+    try:
+        result = runner.run_scenario(sc, seed=args.seed)
+    except SignalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     out_dir = args.out if args.out is not None else sc.outputs
     try:
         paths = runner.write_outputs(result, out_dir)

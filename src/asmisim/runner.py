@@ -268,18 +268,27 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
 
+    # The two large files are formatted line by line rather than through
+    # csv / json: every timeline field is an int, a float or a bare word
+    # that needs no quoting, and every transport field is an int or plain
+    # hex, so these lines are byte-identical to csv.writer's (\r\n ends)
+    # and to json.dumps(row, separators=(", ", ": ")).
     timeline_path = out / TIMELINE_FILE
     with timeline_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TIMELINE_CSV_COLUMNS)
-        for row in result.center.timeline_rows():
-            writer.writerow(row)
+        fh.write(",".join(TIMELINE_CSV_COLUMNS) + "\r\n")
+        fh.writelines(
+            f"{sensor_id},{seq_no},{msg_type},{t},{level},{value},{uncertainty}\r\n"
+            for sensor_id, seq_no, msg_type, t, level, value, uncertainty in result.center.timeline_rows()
+        )
     paths[TIMELINE_FILE] = timeline_path
 
     transport_path = out / TRANSPORT_FILE
     with transport_path.open("w") as fh:
-        for row in result.transport_rows:
-            fh.write(json.dumps(row, separators=(", ", ": ")) + "\n")
+        fh.writelines(
+            f'{{"router_id": {row["router_id"]}, "local_receipt_time_ms": {row["local_receipt_time_ms"]}, '
+            f'"frame_hex": "{row["frame_hex"]}"}}\n'
+            for row in result.transport_rows
+        )
     paths[TRANSPORT_FILE] = transport_path
 
     comparison_path = out / COMPARISON_FILE

@@ -37,6 +37,9 @@ DEFAULT_ERROR_GRID = 60_000
 
 MAX_SEED = 2**64 - 1
 MAX_SENSOR_ID = 2**32 - 1
+# A clock that gains or loses more than a second per second is not a clock;
+# the bound also keeps drift_ppm * elapsed time finite for any SimTime.
+MAX_DRIFT_PPM = 1_000_000
 
 
 class ScenarioValidationError(Exception):
@@ -93,6 +96,7 @@ POSITIVE_MS = "must be a positive integer (milliseconds)"
 NON_NEGATIVE_MS = "must be a non-negative integer (milliseconds)"
 ANY_MS = "must be an integer (milliseconds)"
 NON_NEGATIVE_NUMBER = "must be a non-negative number"
+DRIFT_RANGE = "must be a number in [-1e6, 1e6] (ppm)"
 
 # Bounds are inclusive. The float range rejects NaN, the infinities and integers
 # too large for a float; the least float above zero makes "at or above" mean "above".
@@ -265,7 +269,9 @@ def validate(doc: dict) -> Scenario:
             _fail(errors, path, "id", f"duplicate router id {router_id}")
             router_id = None
         flush_interval = _int(errors, raw, path, "flush_interval", DEFAULT_FLUSH_INTERVAL, POSITIVE_MS, lo=1)
-        drift_ppm = _num(errors, raw, path, "drift_ppm", 0.0, "must be a number")
+        drift_ppm = _num(
+            errors, raw, path, "drift_ppm", 0.0, DRIFT_RANGE, lo=-MAX_DRIFT_PPM, hi=MAX_DRIFT_PPM
+        )
         sync_residual = _int(errors, raw, path, "sync_residual", 0, ANY_MS, lo=-MAX_SIMTIME)
         if None not in (router_id, flush_interval, drift_ppm, sync_residual):
             routers[router_id] = RouterDef(

@@ -37,6 +37,14 @@ class NonPositiveDelta(SignalError):
     """Crossing detection requires a strictly positive delta."""
 
 
+class LevelOutOfRange(SignalError):
+    """The signal strays 2**31 or more quanta from P0.
+
+    No such level fits the frame's signed 32-bit level_index, and walking
+    the grid out to it would take one step per quantum.
+    """
+
+
 class SignalKind(str, Enum):
     CUMULATIVE = "CUMULATIVE"
     AMBIENT = "AMBIENT"
@@ -196,16 +204,22 @@ def crossing_times(
     reference moves one quantum per crossing; a jump across several quanta
     yields several entries at the same t. Crossings are searched for within
     monotone segments (see _first_crossing), so each reported t is the first
-    millisecond at which the crossing condition holds.
+    millisecond at which the crossing condition holds. Raises
+    LevelOutOfRange once the signal strays 2**31 or more quanta from p0.
     """
     if dp <= 0:
         raise NonPositiveDelta(f"dp must be positive, got {dp}")
     out: list[tuple[SimTime, int]] = []
     k = 0
     up, down = _thresholds(p0, dp, k)
+    level_span = 2**31 * dp
 
     def advance(t: SimTime, v: float) -> None:
         nonlocal k, up, down
+        if abs(v - p0) >= level_span:
+            raise LevelOutOfRange(
+                f"value {v!r} at t={t} is 2**31 or more quanta of dP {dp!r} from P0 {p0!r}"
+            )
         while v >= up:
             k += 1
             out.append((t, +1))

@@ -1,6 +1,7 @@
 import copy
 import csv
 import hashlib
+import io
 import json
 import math
 import random
@@ -8,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from asmisim import baseline, cli, runner, scenario
-from asmisim.center import MonitoringCenter
+from asmisim import baseline, cli, pi_protocol, runner, scenario
+from asmisim.center import TIMELINE_CSV_COLUMNS, MonitoringCenter
+from asmisim.pi_protocol import MsgType, PiFrame
 from asmisim.router import ForwardedRecord
-from asmisim.signalgen import value_at
+from asmisim.sensor import SensorDescriptor, SensorMode
+from asmisim.signalgen import LevelOutOfRange, value_at
 from asmisim.simkernel import MAX_SIMTIME
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -264,7 +267,7 @@ WRONG_TYPES_ERRORS = [
     ("routers[0]", "must be an object"),
     ("routers[1].id", "must be a non-negative integer"),
     ("routers[1].flush_interval", "must be a positive integer (milliseconds)"),
-    ("routers[1].drift_ppm", "must be a number"),
+    ("routers[1].drift_ppm", "must be a number in [-1e6, 1e6] (ppm)"),
     ("routers[1].sync_residual", "must be an integer (milliseconds)"),
     ("coverage.2", "must be a non-empty list of router ids"),
     ("coverage.3", "unknown router id True"),
@@ -397,6 +400,8 @@ NUMBER_FIELDS = (
     ("signals", 0, "intervals", 0, "rate_per_hour"),
     ("routers", 0, "drift_ppm"),
 )
+# Finite, but past the +-1e6 ppm bound on a clock's drift.
+DRIFT_OUT_OF_RANGE = (1.7e308, 1e6 + 1, -(1e6 + 1))
 # burst_day.json runs to horizon + latency + jitter + backhaul_delay =
 # 86_400_000 + 50 + 0 + 500; each of these pushes that sum past MAX_SIMTIME.
 END_OF_RUN_OVERFLOWS = (
@@ -409,6 +414,7 @@ OUT_OF_RANGE_CASES = (
     [(path, value, path) for path in TIME_FIELDS for value in (2**64, 2**70, HUGE_INT)]
     + [(path, value, path) for path in NUMBER_FIELDS for value in (math.nan, math.inf, -math.inf, HUGE_INT)]
     + [(path, value, ("horizon",)) for path, value in END_OF_RUN_OVERFLOWS]
+    + [(("routers", 0, "drift_ppm"), value, ("routers", 0, "drift_ppm")) for value in DRIFT_OUT_OF_RANGE]
 )
 
 
@@ -435,6 +441,37 @@ def test_values_the_run_cannot_use_raise_validation_error(path, value, error_pat
     with pytest.raises(scenario.ScenarioValidationError) as err:
         scenario.validate(doc)
     assert _error_path(error_path) in {p for p, _ in err.value.errors}
+
+
+@pytest.mark.parametrize("drift_ppm", [1e6, -1e6])
+def test_drift_at_its_bound_validates_and_runs(drift_ppm):
+    doc = json.loads((SCENARIO_DIR / "burst_day.json").read_text())
+    doc["routers"][0]["drift_ppm"] = drift_ppm
+    result = runner.run_scenario(scenario.validate(doc))
+    assert result.counters["accepted"] == result.sensor_states[4].seq_no > 0
+
+
+# Each of these validates, but the signal strays 2**31 or more quanta from
+# P0, so no level fits a frame and walking the grid there would not end.
+EXTREME_LEVEL_CASES = (
+    (("sensors", 0, "P0"), 1e20),
+    (("sensors", 0, "P0"), 1e308),
+    (("sensors", 0, "P0"), -1e308),
+    (("signals", 0, "base_rate_per_hour"), 1e300),
+    (("signals", 0, "intervals", 0, "rate_per_hour"), 1e308),
+    (("sensors", 0, "dP"), 1e-300),
+)
+
+
+@pytest.mark.parametrize(
+    "path, value", EXTREME_LEVEL_CASES, ids=[f"{_error_path(p)}={v}" for p, v in EXTREME_LEVEL_CASES]
+)
+def test_levels_beyond_the_wire_range_raise_level_out_of_range(path, value):
+    doc = json.loads((SCENARIO_DIR / "burst_day.json").read_text())
+    _set(doc, path, value)
+    sc = scenario.validate(doc)
+    with pytest.raises(LevelOutOfRange):
+        runner.run_scenario(sc, seed=31)
 
 
 def test_end_of_run_at_max_simtime_validates():
@@ -656,6 +693,72 @@ def test_outputs_match_golden_digests(name, tmp_path):
     assert digests == GOLDEN_OUTPUT_DIGESTS[name]
 
 
+def test_written_files_match_json_and_csv_encoders_on_edge_values(tmp_path):
+    """transport.jsonl and timeline.csv are formatted by hand; they must be
+    byte-equal to json.dumps(row, separators=(", ", ": ")) and csv.writer."""
+    center = MonitoringCenter(nominal_latency=50)
+    center.register_router(0, sync_residual=10**6)  # corrected times go negative
+    center.register_router(2**32 - 1, sync_residual=-5)
+    sensors = [(0, 1e-05, 0.0), (7, 1.0, 1e16), (2**32 - 1, 0.1, 0.0)]
+    for sensor_id, dp, p0 in sensors:
+        center.register_sensor(
+            SensorDescriptor(sensor_id, "p", "u", dp, p0, SensorMode.BIDIRECTIONAL, 60_000)
+        )
+    frames = [
+        (MsgType.EVENT, 0, 1, 1),  # value 1e-05
+        (MsgType.STATUS, 0, 2, 0),
+        (MsgType.EVENT, 7, 1, 0),  # value 1e+16
+        (MsgType.EVENT, 7, 3, -(2**31)),
+        (MsgType.EVENT, 2**32 - 1, 5, -3),  # value -0.30000000000000004
+        (MsgType.STATUS, 2**32 - 1, 2**32 - 1, 2**31 - 1),
+    ]
+    times = [-30, 0, 2**64 - 1]
+    records = [
+        ForwardedRecord(router_id, pi_protocol.encode(PiFrame(*frame)), t)
+        for frame in frames
+        for router_id in (0, 2**32 - 1)
+        for t in times
+    ]
+    records.append(ForwardedRecord(0, b"\x00\xff", -1))  # malformed bytes are logged as they came
+    for rec in records:
+        center.ingest(rec)
+    transport_rows = [
+        {
+            "router_id": rec.router_id,
+            "local_receipt_time_ms": rec.local_receipt_time,
+            "frame_hex": rec.frame_bytes.hex(),
+        }
+        for rec in records
+    ]
+    result = runner.RunResult(
+        scenario=None,
+        seed=0,
+        counters=dict.fromkeys(runner.RUN_SUMMARY_KEYS, 0),
+        center=center,
+        signals={},
+        sensor_states={},
+        router_states={},
+        transport_rows=transport_rows,
+    )
+    paths = runner.write_outputs(result, tmp_path)
+
+    lines = paths["transport.jsonl"].read_bytes().split(b"\n")
+    assert lines.pop() == b""
+    assert len(lines) == len(transport_rows)
+    for line, row in zip(lines, transport_rows):
+        assert line.decode() == json.dumps(row, separators=(", ", ": "))
+        assert json.loads(line) == row
+
+    rows = center.timeline_rows()
+    assert any(row[3] < 0 for row in rows)
+    assert {1e-05, -0.30000000000000004, 1e16} <= {row[5] for row in rows}
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(TIMELINE_CSV_COLUMNS)
+    writer.writerows(rows)
+    assert paths["timeline.csv"].read_bytes() == expected.getvalue().encode()
+
+
 def test_center_result_does_not_depend_on_arrival_order():
     sc = _golden_variant("drift_residual")
     result = runner.run_scenario(sc)
@@ -703,6 +806,19 @@ def test_cli_validate_reports_errors(tmp_path, capsys):
     assert cli.main(["validate", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "dP must be positive" in err
+
+
+def test_cli_run_reports_level_out_of_range(tmp_path, capsys):
+    doc = json.loads((SCENARIO_DIR / "burst_day.json").read_text())
+    doc["sensors"][0]["P0"] = 1e20
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: value 0.0 at t=0 is 2**31 or more quanta")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
