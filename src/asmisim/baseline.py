@@ -75,20 +75,27 @@ def hold_error(
     """Sup/mean/RMS absolute error of a zero-order hold against a truth grid.
 
     truth[k] is the true value at k * grid. times must be non-decreasing;
-    values[i] holds from times[i] on, and prior holds before times[0].
+    values[i] holds from times[i] on, and prior holds before times[0]. The
+    sweep goes hold segment by hold segment: each held value is scored
+    against truth from the first grid index at or after its time,
+    ceil(times[i] / grid), up to the next value's, and the errors are added
+    in grid order.
     """
-    sup = total = total_sq = 0.0
-    idx = -1
-    for k, true_value in enumerate(truth):
-        t = k * grid
-        while idx + 1 < len(times) and times[idx + 1] <= t:
-            idx += 1
-        held = values[idx] if idx >= 0 else prior
-        err = abs(true_value - held)
-        sup = max(sup, err)
-        total += err
-        total_sq += err * err
     n = len(truth)
+    sup = total = total_sq = 0.0
+    start, held = 0, prior
+    # The closing pair ends the last segment at n; its value is never held.
+    for t, value in zip([*times, n * grid], [*values, None], strict=True):
+        end = -(-t // grid)
+        if end > start:
+            for true_value in truth[start:end]:
+                err = abs(true_value - held)
+                if err > sup:
+                    sup = err
+                total += err
+                total_sq += err * err
+            start = end
+        held = value
     return ErrorReport(sup=sup, mean=total / n, rmse=math.sqrt(total_sq / n), n_points=n)
 
 

@@ -120,10 +120,12 @@ def sampling_driver(
 
     Observations fire at the exact crossing instants the signal oracle
     reports, so emission times match true crossing times to the
-    millisecond; STATUS frames follow the status schedule. Both schedules
-    are chained lazily, not laid out for the whole horizon: the sensor keeps
-    at most one pending crossing event and one pending status event, and
-    each schedules its successor when it fires. `emit` is called as
+    millisecond; STATUS frames follow the status schedule. Sensors with the
+    same (p0, dp, horizon) on one signal share one solve: the signal keeps
+    its instants as a tuple. Both schedules are chained lazily, not laid out
+    for the whole horizon: the sensor keeps at most one pending crossing
+    event and one pending status event, and each schedules its successor
+    when it fires. `emit` is called as
     emit(frame, t) for every frame, in kernel order. A crossing's key is
     (RANK_SENSOR, sensor_id, 0) and a status's (RANK_SENSOR, sensor_id, 1),
     so at a shared instant the EVENT precedes the STATUS.
@@ -132,8 +134,11 @@ def sampling_driver(
     crossing_key = (RANK_SENSOR, descriptor.sensor_id, 0)
     status_key = (RANK_SENSOR, descriptor.sensor_id, 1)
     interval = descriptor.status_interval
-    crossings = crossing_times(signal, descriptor.p0, descriptor.dp, horizon)
-    instants = iter(sorted({t for t, _direction in crossings}))
+    key = (descriptor.p0, descriptor.dp, horizon)
+    if key not in signal._instants:
+        crossings = crossing_times(signal, descriptor.p0, descriptor.dp, horizon)
+        signal._instants[key] = tuple(sorted({t for t, _direction in crossings}))
+    instants = iter(signal._instants[key])
 
     def crossing(t: SimTime) -> None:
         for frame in observe(state, descriptor, t, value_at(signal, t)):

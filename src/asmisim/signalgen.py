@@ -9,12 +9,15 @@ Two families cover the monitored parameter classes:
   between noise ticks, so exact crossing instants are well defined.
 
 Evaluation is pure: a Signal with a fixed seed always yields the same value
-at the same time, regardless of evaluation order.
+at the same time, regardless of evaluation order. What a Signal learns while
+it is evaluated (its noise walk, its step-load piece table, its breakpoint
+tables) is built once, kept on the Signal and shared by every caller.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -79,13 +82,27 @@ class DiurnalSpec:
 
 @dataclass
 class Signal:
+    """A ground-truth parameter and the tables its evaluations fill in.
+
+    Only kind, spec, unit, seed and horizon define the signal; they alone
+    take part in == and repr. The remaining fields are built lazily, once,
+    and then read by every caller: the noise walk (_walk), the step-load
+    piece table that value_at looks terms up in (_load_pieces), the
+    breakpoint table of each horizon that crossing_times walks
+    (_breakpoint_tables), and the crossing instants of each
+    (p0, dp, horizon) that sensor.sampling_driver schedules (_instants).
+    """
+
     kind: SignalKind
     spec: StepLoadSpec | DiurnalSpec
     unit: str = ""
     seed: int = 0
     horizon: SimTime | None = None
-    _walk: list[float] = field(default_factory=lambda: [0.0], repr=False)
-    _walk_rng: object = field(default=None, repr=False)
+    _walk: list[float] = field(default_factory=lambda: [0.0], compare=False, repr=False)
+    _walk_rng: object = field(default=None, compare=False, repr=False)
+    _load_pieces: tuple | None = field(default=None, compare=False, repr=False)
+    _breakpoint_tables: dict = field(default_factory=dict, compare=False, repr=False)
+    _instants: dict = field(default_factory=dict, compare=False, repr=False)
 
     def _noise_at(self, t: SimTime) -> float:
         spec = self.spec
@@ -99,6 +116,28 @@ class Signal:
                 step = self._walk_rng.gauss(0.0, spec.noise_sigma)
                 self._walk.append(self._walk[-1] + step)
         return self._walk[idx]
+
+
+def _load_pieces(spec: StepLoadSpec) -> tuple[list[SimTime], list[tuple]]:
+    """The step-load piece table: change points, and each piece's terms.
+
+    An interval contributes from start + 1 on; from end on its term is the
+    constant rate * (end - start) / MS_PER_HOUR, and before that it is kept
+    as (start, rate). pieces[bisect_right(edges, t)] holds the terms that
+    contribute at t, in the intervals' spec order. An interval with
+    end <= start never contributes.
+    """
+    live = [
+        (iv.start, iv.end, (iv.start, iv.rate_per_hour), iv.rate_per_hour * (iv.end - iv.start) / MS_PER_HOUR)
+        for iv in spec.intervals
+        if iv.end > iv.start
+    ]
+    edges = sorted({edge for start, end, _, _ in live for edge in (start + 1, end)})
+    pieces = [()]
+    for at in edges:
+        terms = (constant if at >= end else running for start, end, running, constant in live if at > start)
+        pieces.append(tuple(terms))
+    return edges, pieces
 
 
 def step_load_signal(
@@ -130,16 +169,28 @@ def diurnal_signal(
 
 
 def value_at(signal: Signal, t: SimTime) -> float:
-    """Evaluate the ground-truth parameter at integer millisecond t."""
+    """Evaluate the ground-truth parameter at integer millisecond t.
+
+    A step load is base * t / MS_PER_HOUR plus, in spec order, each
+    interval's rate * overlap / MS_PER_HOUR; the terms come from the
+    signal's piece table, so only the intervals that contribute at t are
+    visited, and the float operations and their order are those of a loop
+    over every interval.
+    """
     if t < 0 or (signal.horizon is not None and t > signal.horizon):
         raise OutOfHorizon(f"t={t} outside [0, {signal.horizon}]")
     spec = signal.spec
     if signal.kind is SignalKind.CUMULATIVE:
+        if signal._load_pieces is None:
+            signal._load_pieces = _load_pieces(spec)
+        edges, pieces = signal._load_pieces
         total = spec.base_rate_per_hour * t / MS_PER_HOUR
-        for iv in spec.intervals:
-            overlap = min(t, iv.end) - iv.start
-            if overlap > 0:
-                total += iv.rate_per_hour * overlap / MS_PER_HOUR
+        for term in pieces[bisect_right(edges, t)]:
+            if term.__class__ is float:
+                total += term
+            else:
+                start, rate = term
+                total += rate * (t - start) / MS_PER_HOUR
         return total
     # Fold into [0, period) before multiplying by 2*pi so values at whole
     # periods are exact (sin(2*pi*k) would not be).
@@ -179,6 +230,24 @@ def _breakpoints(signal: Signal, horizon: SimTime) -> list[SimTime]:
     return sorted(p for p in pts if 0 <= p <= horizon)
 
 
+def _breakpoint_table(signal: Signal, horizon: SimTime) -> tuple:
+    """(b, value at b - 1, value at b) for t = 0 and each later breakpoint.
+
+    The value at b - 1 is None when b - 1 is the previous breakpoint, whose
+    value the row before already holds. Built once per horizon and kept on
+    the signal, so every sensor's crossing search walks the same table.
+    """
+    table = signal._breakpoint_tables.get(horizon)
+    if table is None:
+        rows = [(0, None, value_at(signal, 0))]
+        for b in _breakpoints(signal, horizon):
+            prev = rows[-1][0]
+            if b > prev:
+                rows.append((b, value_at(signal, b - 1) if b - 1 > prev else None, value_at(signal, b)))
+        table = signal._breakpoint_tables[horizon] = tuple(rows)
+    return table
+
+
 def reach_tolerance(threshold: float, dp: float) -> float:
     """Slack for grid-crossing comparisons, scaled to the quantum.
 
@@ -204,8 +273,11 @@ def crossing_times(
     reference moves one quantum per crossing; a jump across several quanta
     yields several entries at the same t. Crossings are searched for within
     monotone segments (see _first_crossing), so each reported t is the first
-    millisecond at which the crossing condition holds. Raises
-    LevelOutOfRange once the signal strays 2**31 or more quanta from p0.
+    millisecond at which the crossing condition holds. The segment ends and
+    their values come from the signal's breakpoint table for this horizon,
+    so only the search inside a segment calls value_at, and a second call on
+    the same signal evaluates no breakpoint again. Raises LevelOutOfRange
+    once the signal strays 2**31 or more quanta from p0.
     """
     if dp <= 0:
         raise NonPositiveDelta(f"dp must be positive, got {dp}")
@@ -229,19 +301,16 @@ def crossing_times(
             out.append((t, -1))
             up, down = _thresholds(p0, dp, k)
 
-    t, v = 0, value_at(signal, 0)
+    rows = iter(_breakpoint_table(signal, horizon))
+    t, _, v = next(rows)
     advance(t, v)
-    for b in _breakpoints(signal, horizon):
-        if b <= t:
-            continue
+    for b, vw, vb in rows:
         w = b - 1
-        if w > t:
-            vw = value_at(signal, w)
-            while w > t and (vw >= up or vw <= down):
-                sign, thr = (1, up) if vw >= up else (-1, down)
-                t, v = _first_crossing(signal, t, v, w, vw, thr, sign)
-                advance(t, v)
-        t, v = b, value_at(signal, b)
+        while w > t and (vw >= up or vw <= down):
+            sign, thr = (1, up) if vw >= up else (-1, down)
+            t, v = _first_crossing(signal, t, v, w, vw, thr, sign)
+            advance(t, v)
+        t, v = b, vb
         advance(t, v)
     return out
 

@@ -6,9 +6,11 @@ import pytest
 from asmisim.baseline import (
     AMI_FRAME_BYTES,
     AmiSample,
+    ErrorReport,
     NonPositiveInterval,
     ZeroBudget,
     error_stats,
+    hold_error,
     matched_budget_interval,
     poll,
     reconstruct_ami,
@@ -108,6 +110,54 @@ def test_error_stats_sinusoid_bounded_by_lipschitz():
     assert 0.0 < report.sup <= 1.0 * 2 * math.pi / period * dt + 1e-9
     assert report.mean <= report.sup
     assert report.mean <= report.rmse <= report.sup
+
+
+def scan_hold_error(truth, grid, times, values, prior):
+    """Reference hold_error: for each grid point, scan times for the held value.
+
+    hold_error walks hold segments instead and must give the same floats,
+    so results are compared with ==.
+    """
+    sup = total = total_sq = 0.0
+    idx = -1
+    for k, true_value in enumerate(truth):
+        t = k * grid
+        while idx + 1 < len(times) and times[idx + 1] <= t:
+            idx += 1
+        held = values[idx] if idx >= 0 else prior
+        err = abs(true_value - held)
+        sup = max(sup, err)
+        total += err
+        total_sq += err * err
+    n = len(truth)
+    return ErrorReport(sup=sup, mean=total / n, rmse=math.sqrt(total_sq / n), n_points=n)
+
+
+def test_hold_error_matches_per_point_scan():
+    rng = random.Random(99)
+    for case in range(300):
+        grid = rng.choice((1, 7, 1_000, 60_000, 70_000))
+        truth = [rng.uniform(-5.0, 5.0) for _ in range(rng.randrange(1, 60))]
+        last = (len(truth) - 1) * grid
+        times = []
+        for _ in range(rng.randrange(0, 40) if case % 10 else 0):  # every tenth has no times
+            shape = rng.random()
+            if shape < 0.15:
+                times.append(-rng.randrange(1, 3 * grid + 2))  # before the first grid point
+            elif shape < 0.35:
+                times.append(rng.randrange(len(truth)) * grid)  # exactly on a grid point
+            elif shape < 0.45:
+                times.append(last + rng.randrange(1, 3 * grid + 2))  # past the last grid point
+            elif shape < 0.55 and times:
+                times.append(rng.choice(times))  # a duplicate
+            else:
+                times.append(rng.randrange(-grid, last + grid))
+        times.sort()
+        values = [rng.uniform(-5.0, 5.0) for _ in times]
+        prior = rng.uniform(-5.0, 5.0)
+        assert hold_error(truth, grid, times, values, prior) == scan_hold_error(
+            truth, grid, times, values, prior
+        ), case
 
 
 def test_error_stats_rejects_bad_grid():

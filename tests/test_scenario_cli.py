@@ -656,8 +656,10 @@ def test_run_summary_has_exactly_the_contract_keys(tmp_path):
 
 
 # sha256 of the four output files, recorded before the kernel, sensor
-# scheduling and center ingest were reworked for speed. Any change to event
-# order, loss draws, jitter, clock correction or dedup moves at least one.
+# scheduling and center ingest were reworked for speed (shared_signals:
+# before signals kept piece and breakpoint tables). Any change to event
+# order, loss draws, jitter, clock correction, dedup, signal values,
+# crossing instants or the error sweep moves at least one.
 GOLDEN_OUTPUT_DIGESTS = {
     "lossy_jittery": {
         "comparison.csv": "7ec9ae80f5c8fb78a17345fbf401deb681bceb0c3f19417d360fc97061d6cd7b",
@@ -671,18 +673,51 @@ GOLDEN_OUTPUT_DIGESTS = {
         "timeline.csv": "260d382e6e1687916e1d90a3f3b5f611396574cb024b2d0cbad0a0b32c7b61f0",
         "transport.jsonl": "c7a6957aa141ecac029d704353f6026dfdb713b03e6eef9dc5a2ee541d2ffc31",
     },
+    "shared_signals": {
+        "comparison.csv": "24a8da70eb259b6c971d9a2f77613e6cfae3a451f22968d3f457b14619948da9",
+        "run_summary.json": "61caaf3cce627896ca2d2a8d1014816b68b7a7dbc54b2a4d496574ec8d815084",
+        "timeline.csv": "c3b506c7bd1e8e6105b2f854d67b3a8bb6bdfd663eb8ef493fa3f9d9f322fd2a",
+        "transport.jsonl": "1be1a25ab1e21043f9b1d0fe12ea8ac5fa794b6d603539a9f83e35313e686657",
+    },
 }
 
 
 def _golden_variant(name):
     """no_loss_three_routers made lossy and jittery as in criterion 6;
-    drift_residual also gives each router its own drift and sync residual."""
+    drift_residual also gives each router its own drift and sync residual.
+    shared_signals puts the meter on four overlapping step loads (one running
+    past the horizon) and adds four sensors on one noisy ambient signal, two
+    of them with the same P0 and dP, scored against the matched baseline on
+    an error grid that does not divide the horizon."""
     doc = json.loads((SCENARIO_DIR / "no_loss_three_routers.json").read_text())
     doc["channel"] = {"loss_prob": 0.25, "latency": 50, "jitter": 15}
     if name == "drift_residual":
         for rdef, (ppm, residual) in zip(doc["routers"], [(40.0, 12), (-25.0, -30), (7.5, 0)]):
             rdef["drift_ppm"] = ppm
             rdef["sync_residual"] = residual
+    if name == "shared_signals":
+        hour = 3_600_000
+        loads = [
+            (6 * hour, 9 * hour, 1.5),
+            (7 * hour + 1_234, 8 * hour, 2.25),
+            (8 * hour - 77, 12 * hour, 0.7),
+            (20 * hour, 30 * hour, 1.1),  # runs past the 24 h horizon
+        ]
+        doc["signals"] = [
+            {"id": "house_meter", "kind": "cumulative", "unit": "kWh", "base_rate_per_hour": 0.2,
+             "intervals": [{"start": s, "end": e, "rate_per_hour": r} for s, e, r in loads]},
+            {"id": "air", "kind": "ambient", "unit": "degC", "mean": 21.0, "amplitude": 2.5,
+             "phase": hour, "noise_sigma": 0.08, "noise_step": 300_000},
+        ]
+        doc["sensors"][0]["dP"] = 0.25
+        for sensor_id, dp in [(11, 0.2), (12, 0.2), (13, 0.35), (14, 0.5)]:
+            doc["sensors"].append(
+                {"sensor_id": sensor_id, "parameter": "temperature", "unit": "degC", "dP": dp, "P0": 21.0,
+                 "mode": "BIDIRECTIONAL", "status_interval": hour, "signal": "air", "location": "room"}
+            )
+        doc["coverage"] = {"7": [1, 2, 3], "11": [1, 2], "12": [2, 3], "13": [3], "14": [1, 3]}
+        doc["baseline"] = {"enabled": True, "dt": "matched"}
+        doc["error_grid"] = 70_000
     return scenario.validate(doc)
 
 

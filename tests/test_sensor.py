@@ -1,5 +1,6 @@
 import pytest
 
+from asmisim import sensor
 from asmisim.pi_protocol import MsgType
 from asmisim.sensor import (
     MonotonicityViolated,
@@ -232,3 +233,34 @@ def test_driver_keeps_at_most_two_pending_events():
     assert [seq for _, _, seq in emitted] == list(range(1, len(expected) + 1))
     shared = set(crossings) & statuses
     assert shared, "the load must put crossings on status instants"
+
+
+def test_sensors_with_one_key_share_one_solve(monkeypatch):
+    horizon = 4 * MS_PER_HOUR
+    sig = step_load_signal(
+        base_rate_per_hour=0.3, intervals=[(MS_PER_HOUR, 2 * MS_PER_HOUR, 1.7)], horizon=horizon
+    )
+    solved = []
+    real = sensor.crossing_times
+
+    def counted(signal, p0, dp, until):
+        solved.append((p0, dp, until))
+        return real(signal, p0, dp, until)
+
+    monkeypatch.setattr(sensor, "crossing_times", counted)
+    kernel = Kernel()
+    emitted = {1: [], 2: [], 3: []}
+
+    def emit(frame, t):
+        if frame.msg_type is MsgType.EVENT:
+            emitted[frame.sensor_id].append(t)
+
+    descriptors = [monotonic(0.1, sensor_id=1), monotonic(0.1, sensor_id=2), monotonic(0.25, sensor_id=3)]
+    for d in descriptors:
+        sampling_driver(d, sig, kernel, horizon, emit)
+    kernel.run_until(horizon)
+    assert solved == [(0.0, 0.1, horizon), (0.0, 0.25, horizon)]
+    assert isinstance(sig._instants[(0.0, 0.1, horizon)], tuple)  # no caller can change a shared solve
+    for d in descriptors:
+        assert emitted[d.sensor_id] == [t for t, _ in real(sig, d.p0, d.dp, horizon)]
+    assert emitted[1] == emitted[2] != emitted[3]

@@ -294,3 +294,89 @@ def test_crossing_times_are_sorted_and_within_horizon():
     times = [t for t, _ in got]
     assert times == sorted(times)
     assert all(0 <= t <= 120_000 for t in times)
+
+
+# ------------------------------------------------- per-signal tables
+
+
+def interval_loop_oracle(signal, t):
+    """Reference step-load value: base plus every interval's overlap, in spec order.
+
+    value_at looks its terms up in a piece table instead and must match this
+    loop bit for bit, so results are compared with ==.
+    """
+    spec = signal.spec
+    total = spec.base_rate_per_hour * t / MS_PER_HOUR
+    for iv in spec.intervals:
+        overlap = min(t, iv.end) - iv.start
+        if overlap > 0:
+            total += iv.rate_per_hour * overlap / MS_PER_HOUR
+    return total
+
+
+def _random_intervals(rng, horizon):
+    intervals = []
+    for _ in range(rng.randrange(0, 9)):
+        start = rng.randrange(0, horizon)
+        shape = rng.random()
+        if shape < 0.1:
+            end = start - rng.randrange(0, 5_000)  # end <= start: never contributes
+        elif shape < 0.2:
+            start, end = horizon + rng.randrange(1, 10_000), horizon + 20_000  # starts after the horizon
+        elif shape < 0.35:
+            end = horizon + rng.randrange(0, 50_000)  # runs past the horizon
+        else:
+            end = start + rng.randrange(1, horizon // 2)
+        intervals.append((start, end, rng.choice((0.0, 0.1, 1.0, rng.uniform(0.0, 50.0)))))
+    if intervals and rng.random() < 0.3:
+        intervals.append(intervals[0])  # the same interval twice
+    return intervals
+
+
+def test_value_at_matches_interval_loop_bit_for_bit():
+    rng = random.Random(2024)
+    for _ in range(200):
+        horizon = rng.randrange(1_000, DAY_MS)
+        sig = step_load_signal(
+            base_rate_per_hour=rng.choice((0.0, rng.uniform(0.0, 3.0))),
+            intervals=_random_intervals(rng, horizon),
+            horizon=horizon,
+        )
+        probes = {0, horizon, *(rng.randrange(horizon + 1) for _ in range(20))}
+        for iv in sig.spec.intervals:
+            probes.update(t for t in (iv.start, iv.start + 1, iv.end - 1, iv.end) if 0 <= t <= horizon)
+        for t in rng.sample(sorted(probes), len(probes)):
+            assert value_at(sig, t) == interval_loop_oracle(sig, t), (sig.spec, t)
+
+
+def test_signal_equality_and_repr_ignore_evaluation_history():
+    a = diurnal_signal(20.0, 2.0, noise_sigma=0.1, seed=3, horizon=10**7)
+    b = diurnal_signal(20.0, 2.0, noise_sigma=0.1, seed=3, horizon=10**7)
+    c = step_load_signal(0.5, [(1_000, 60_000, 4.0)], horizon=10**7)
+    d = step_load_signal(0.5, [(1_000, 60_000, 4.0)], horizon=10**7)
+    before = repr(a), repr(c)
+    value_at(a, 5_000_000)
+    value_at(c, 5_000_000)
+    assert (a, c) == (b, d)
+    crossing_times(a, 20.0, 0.25, 10**7)
+    crossing_times(c, 0.0, 0.1, 10**7)
+    assert (a, c) == (b, d)
+    assert (repr(a), repr(c)) == before == (repr(b), repr(d))
+    assert a != diurnal_signal(20.0, 2.0, noise_sigma=0.1, seed=4, horizon=10**7)
+
+
+def test_second_crossing_search_evaluates_no_breakpoint_again(monkeypatch):
+    horizon = 6 * MS_PER_HOUR
+    signals = [
+        diurnal_signal(20.0, 2.0, period=4 * MS_PER_HOUR, noise_sigma=0.05, seed=8, horizon=horizon),
+        step_load_signal(0.2, [(MS_PER_HOUR, 3 * MS_PER_HOUR, 2.0), (2 * MS_PER_HOUR, 9 * MS_PER_HOUR, 0.7)]),
+    ]
+    for sig in signals:
+        p0 = value_at(sig, 0)
+        first = crossing_times(sig, p0, 0.1, horizon)
+        times = _count_value_at(monkeypatch)
+        second = crossing_times(sig, p0, 0.15, horizon)
+        assert first and second
+        breakpoints = set(signalgen._breakpoints(sig, horizon))
+        assert not [t for t in times if t in breakpoints or t + 1 in breakpoints]
+        monkeypatch.undo()
