@@ -23,7 +23,10 @@ Reconstruction is a zero-order hold over the per-sensor timeline: between
 records the last known grid level stands. Because every EVENT carries the
 absolute level_index, the reconstructed value at any accepted record's
 corrected time equals the sensor's true reference level at emission, no
-matter how many earlier frames were lost.
+matter how many earlier frames were lost. reconstruct() answers one instant
+with a bisect; series() answers a window in one forward pass that recomputes
+the hold only where an entry starts, and equals reconstruct() point for
+point.
 """
 
 from __future__ import annotations
@@ -238,15 +241,35 @@ class MonitoringCenter:
         t1: SimTime,
         step: SimTime,
     ) -> list[tuple[SimTime, float, float]]:
-        """reconstruct() sampled on the grid t0, t0+step, ... up to t1."""
+        """reconstruct() sampled on the grid t0, t0+step, ... up to t1.
+
+        One forward pass over the timeline: the held value and halfwidth are
+        recomputed only where the grid reaches the next entry's time, with
+        reconstruct()'s own expressions, so every point equals
+        (t, *reconstruct(sensor_id, t)).
+        """
         if t0 > t1:
             raise ValueError(f"t0={t0} > t1={t1}")
         if step <= 0:
             raise ValueError(f"step must be positive, got {step}")
+        descriptor, store = self._sensor(sensor_id)
+        entries, times = store.entries, store.times
+        p0, dp = descriptor.p0, descriptor.dp
+        last = len(entries) - 1
+        idx = -1
         out = []
-        t = t0
+        t = next_t = t0
         while t <= t1:
-            value, unc = self.reconstruct(sensor_id, t)
+            if t >= next_t:
+                idx = bisect_right(times, t, idx + 1) - 1
+                level, before_seq = (entries[idx].level_index, entries[idx].seq_no) if idx >= 0 else (0, 0)
+                value = p0 + dp * level
+                if idx < last:
+                    next_t = times[idx + 1]
+                    unc = dp * max(1, entries[idx + 1].seq_no - before_seq)
+                else:
+                    next_t = float("inf")
+                    unc = dp  # dp * max(1, gap), the gap being 1 past the last entry
             out.append((t, value, unc))
             t += step
         return out

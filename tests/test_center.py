@@ -273,6 +273,51 @@ def test_series_monotone_for_monotonic_sensor():
     assert values == sorted(values)
 
 
+def _pointwise_series(center, sensor_id, t0, t1, step):
+    points = []
+    t = t0
+    while t <= t1:
+        points.append((t, *center.reconstruct(sensor_id, t)))
+        t += step
+    return points
+
+
+def test_series_equals_pointwise_reconstruct():
+    """series() holds its value between entries instead of calling
+    reconstruct() per point; the tuples must still be equal, bit for bit."""
+    rng = random.Random(2718)
+    residuals = {1: 0, 2: 250, 3: -400}
+    points = 0
+    for _ in range(400):
+        center = MonitoringCenter(nominal_latency=rng.choice((0, 50)))
+        center.register_sensor(meter(dp=rng.choice((0.1, 0.25, 1.0)), p0=rng.uniform(-5.0, 5.0)))
+        for rid, residual in residuals.items():
+            center.register_router(rid, sync_residual=residual)
+        # Receipt times on a 250 ms lattice shifted by the routers' residuals:
+        # corrected times repeat, go negative, and later copies lower entries
+        # already placed. Seq numbers are sparse, and a fifth of the centers
+        # keep an empty timeline.
+        n = rng.randrange(0, 30) if rng.random() < 0.8 else 0
+        for seq in rng.sample(range(1, 60), n):
+            level = rng.randrange(-20, 40)
+            for rid in rng.sample(sorted(residuals), rng.randrange(1, 4)):
+                center.ingest(record(seq, level, router_id=rid, at=250 * rng.randrange(0, 20)))
+        a = rng.randrange(-1_000, 6_000)
+        width = rng.randrange(0, 300)
+        windows = [
+            (-1_000, 6_000, rng.randrange(7, 400)),  # from before the first entry to past the last
+            (a, a, rng.randrange(1, 100)),  # t0 == t1
+            (a, a + width, 1),
+            (a, a + width, width + rng.randrange(1, 500)),  # one step overshoots the window
+            (a - 0.25, a + 10 * width, rng.uniform(1.0, 200.0)),
+        ]
+        for t0, t1, step in windows:
+            expected = _pointwise_series(center, 1, t0, t1, step)
+            assert center.series(1, t0, t1, step) == expected
+            points += len(expected)
+    assert points > 100_000
+
+
 def test_detect_gaps():
     center = MonitoringCenter()
     center.register_sensor(meter())
@@ -313,6 +358,13 @@ def test_unknown_sensor_queries():
         center.liveness(99, 0)
     with pytest.raises(UnknownSensor):
         center.timeline(99)
+    with pytest.raises(UnknownSensor):
+        center.series(99, 0, 10, 1)
+    # the window's arguments are checked before the sensor is looked up
+    with pytest.raises(ValueError):
+        center.series(99, 10, 0, 1)
+    with pytest.raises(ValueError):
+        center.series(99, 0, 10, 0)
 
 
 def test_timeline_rows_sorted_and_self_describing():

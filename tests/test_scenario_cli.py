@@ -728,6 +728,44 @@ def test_outputs_match_golden_digests(name, tmp_path):
     assert digests == GOLDEN_OUTPUT_DIGESTS[name]
 
 
+# sha256 of repr() of the answers to _series_windows on two golden runs,
+# recorded while series() still called reconstruct() once per grid point.
+GOLDEN_SERIES_DIGESTS = {
+    "lossy_jittery": "7ba642620048d9f4d9b1d6180273259b6c304ffee2bcd22475e38aa065cc2674",
+    "shared_signals": "1ecd6b2907e0fe8ddfdfc011ae2de97e1d6124c9bc04484affec7b96545ef528",
+}
+
+
+def _series_windows(center, sc, seed):
+    """20 seeded (sensor_id, t0, t1, step) windows: some start before the
+    run or end past it, some hold one point, some steps are not integers,
+    and every other window's grid lands exactly on a timeline entry."""
+    rng = random.Random(seed)
+    ids = sorted(d.sensor_id for d in sc.sensors)
+    hour = 3_600_000
+    windows = []
+    for i in range(20):
+        sensor_id = rng.choice(ids)
+        step = rng.choice((1, 1_000, 60_000, 70_000, 59_999.5, 7 * hour))
+        t0 = rng.randrange(-hour, sc.horizon + hour)
+        if i % 2 and isinstance(step, int):
+            entry = rng.choice(center.timeline(sensor_id))
+            t0 = entry.estimated_event_time - step * rng.randrange(0, 4)
+        t1 = t0 + (0 if rng.random() < 0.15 else rng.randrange(0, 6 * hour))
+        if step == 1:
+            t1 = min(t1, t0 + 5_000)
+        windows.append((sensor_id, t0, t1, step))
+    return windows
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SERIES_DIGESTS))
+def test_series_answers_match_golden_digests(name):
+    sc = _golden_variant(name)
+    center = runner.run_scenario(sc).center
+    answers = [center.series(*window) for window in _series_windows(center, sc, f"{name}:series")]
+    assert hashlib.sha256(repr(answers).encode()).hexdigest() == GOLDEN_SERIES_DIGESTS[name]
+
+
 def test_written_files_match_json_and_csv_encoders_on_edge_values(tmp_path):
     """transport.jsonl and timeline.csv are formatted by hand; they must be
     byte-equal to json.dumps(row, separators=(", ", ": ")) and csv.writer."""
