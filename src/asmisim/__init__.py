@@ -11,7 +11,7 @@ from .baseline import AmiSample, ErrorReport, error_stats, matched_budget_interv
 from .center import IngestOutcome, Liveness, MonitoringCenter
 from .pi_protocol import MsgType, PiFrame, crc8, decode, encode
 from .radio import Channel, ChannelSpec, CoverageMap, broadcast
-from .router import ForwardedRecord, RouterState, apply_time_sync, flush, local_clock, receive
+from .router import ForwardedRecord, RouterState, flush, local_clock, receive
 from .runner import RunResult, run_scenario, write_outputs
 from .scenario import Scenario, ScenarioValidationError, load, validate
 from .sensor import SensorDescriptor, SensorMode, SensorState, heartbeat, observe, sampling_driver
@@ -43,7 +43,6 @@ __all__ = [
     "Signal",
     "SignalKind",
     "SimTime",
-    "apply_time_sync",
     "broadcast",
     "crc8",
     "crossing_times",

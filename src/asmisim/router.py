@@ -6,6 +6,10 @@ every flush. Frame bytes are never decoded beyond a length check, so the
 transport is byte-identical whatever parameter the frames describe. The
 router-to-center backhaul is modeled reliable and ordered; unreliability
 in this system lives on the sensor-to-router radio leg.
+
+The center syncs every router at each multiple of the sync interval up to
+the horizon, so a stamp is a function of true time (`local_clock`): true
+time + sync residual + the drift since the last sync strictly before it.
 """
 
 from __future__ import annotations
@@ -26,21 +30,33 @@ class ForwardedRecord:
 @dataclass
 class RouterState:
     router_id: int
-    clock_offset: int = 0
     drift_ppm: float = 0.0
-    last_sync_true_time: SimTime = 0
     flush_interval: SimTime = 60_000
     sync_residual: int = 0
+    # Synced at 0 and at each multiple of sync_interval up to sync_until;
+    # by default synced at 0 and never again.
+    sync_interval: SimTime = 3_600_000
+    sync_until: SimTime = 0
     buffer: list[ForwardedRecord] = field(default_factory=list)
     dropped: int = 0
 
 
 def local_clock(state: RouterState, true_t: SimTime) -> SimTime:
-    """Router wall clock: true time plus offset plus drift since last sync."""
-    if true_t < state.last_sync_true_time:
-        raise ValueError(f"true_t={true_t} precedes last sync {state.last_sync_true_time}")
-    drift = round(state.drift_ppm * (true_t - state.last_sync_true_time) / 1_000_000)
-    return true_t + state.clock_offset + drift
+    """Router wall clock at true time `true_t`.
+
+    Each sync, at k * S for k >= 1 while k * S <= sync_until (S is
+    `sync_interval`), resets the offset to `sync_residual`, after which
+    drift accumulates afresh. A sync is a center action, so a frame heard
+    in the same millisecond is stamped before it: the stamp counts drift
+    from the last sync strictly before `true_t`, or from 0:
+
+        true_t + sync_residual + round(drift_ppm * (true_t - anchor) / 1e6)
+        anchor = max(min(true_t - 1, sync_until), 0) // S * S
+    """
+    interval = state.sync_interval
+    anchor = max(min(true_t - 1, state.sync_until), 0) // interval * interval
+    drift = round(state.drift_ppm * (true_t - anchor) / 1_000_000)
+    return true_t + state.sync_residual + drift
 
 
 def receive(state: RouterState, data: bytes, true_t: SimTime) -> None:
@@ -61,12 +77,3 @@ def flush(state: RouterState) -> list[ForwardedRecord]:
     state.buffer = []
     return batch
 
-
-def apply_time_sync(state: RouterState, center_true_time: SimTime) -> None:
-    """Resynchronize the local clock.
-
-    The offset collapses to the router's configured residual error and
-    drift starts accumulating afresh from this instant.
-    """
-    state.clock_offset = state.sync_residual
-    state.last_sync_true_time = center_true_time

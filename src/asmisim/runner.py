@@ -96,15 +96,13 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
     center = MonitoringCenter(nominal_latency=scenario.channel.latency)
     router_states: dict[int, router.RouterState] = {}
     for rdef in scenario.routers:
-        # Routers come up already synced: the residual is their steady
-        # offset, and drift accumulates between sync rounds.
         router_states[rdef.router_id] = router.RouterState(
             router_id=rdef.router_id,
-            clock_offset=rdef.sync_residual,
             drift_ppm=rdef.drift_ppm,
-            last_sync_true_time=0,
             flush_interval=rdef.flush_interval,
             sync_residual=rdef.sync_residual,
+            sync_interval=scenario.sync_interval,
+            sync_until=scenario.horizon,
         )
         center.register_router(rdef.router_id, rdef.location, rdef.sync_residual)
     for descriptor in scenario.sensors:
@@ -169,20 +167,10 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
         if nxt <= end_of_receipt:
             kernel.schedule(nxt, (RANK_ROUTER, state.router_id, nxt), flush_tick, state, nxt)
 
-    def sync_tick(state: router.RouterState, at: SimTime) -> None:
-        router.apply_time_sync(state, at)
-        nxt = at + scenario.sync_interval
-        if nxt <= scenario.horizon:
-            kernel.schedule(nxt, (RANK_CENTER, state.router_id, nxt), sync_tick, state, nxt)
-
     for state in router_states.values():
         first = state.flush_interval
         if first <= end_of_receipt:
             kernel.schedule(first, (RANK_ROUTER, state.router_id, first), flush_tick, state, first)
-    for state in router_states.values():
-        first = scenario.sync_interval
-        if first <= scenario.horizon:
-            kernel.schedule(first, (RANK_CENTER, state.router_id, first), sync_tick, state, first)
 
     kernel.run_until(end_of_run)
 

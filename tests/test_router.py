@@ -1,7 +1,8 @@
-import pytest
+import random
 
 from asmisim.pi_protocol import MsgType, PiFrame, encode
-from asmisim.router import RouterState, apply_time_sync, flush, local_clock, receive
+from asmisim.router import RouterState, flush, local_clock, receive
+from asmisim.simkernel import RANK_CENTER, RANK_RADIO, Kernel
 
 DAY = 86_400_000
 
@@ -17,7 +18,7 @@ def test_local_clock_identity():
 
 
 def test_local_clock_offset():
-    state = RouterState(router_id=1, clock_offset=200)
+    state = RouterState(router_id=1, sync_residual=200)
     assert local_clock(state, 1_000) == 1_200
 
 
@@ -31,14 +32,8 @@ def test_local_clock_unsynced_day_drift():
     assert local_clock(state, DAY) - DAY == 8_640
 
 
-def test_local_clock_rejects_time_before_sync():
-    state = RouterState(router_id=1, last_sync_true_time=500)
-    with pytest.raises(ValueError):
-        local_clock(state, 499)
-
-
 def test_receive_buffers_with_local_stamp():
-    state = RouterState(router_id=7, clock_offset=3)
+    state = RouterState(router_id=7, sync_residual=3)
     receive(state, wire(), 1_000)
     assert len(state.buffer) == 1
     rec = state.buffer[0]
@@ -79,31 +74,93 @@ def test_flush_returns_and_clears():
     assert [r.frame_bytes for r in flush(state)] == [wire(6)]
 
 
-def test_apply_time_sync_resets_drift_anchor():
-    state = RouterState(router_id=1, drift_ppm=100.0, sync_residual=0)
-    assert local_clock(state, 1_000_000) == 1_000_100
-    apply_time_sync(state, 1_000_000)
-    assert local_clock(state, 1_000_000) == 1_000_000
+def test_sync_resets_drift_anchor():
+    state = RouterState(router_id=1, drift_ppm=100.0, sync_interval=1_000_000, sync_until=1_000_000)
+    assert local_clock(state, 1_000_000) == 1_000_100  # stamped before the sync at that instant
+    assert local_clock(state, 1_000_001) == 1_000_001
     assert local_clock(state, 2_000_000) == 2_000_100
 
 
 def test_sync_with_residual():
-    state = RouterState(router_id=1, drift_ppm=50.0, sync_residual=-7)
-    apply_time_sync(state, 500_000)
-    assert local_clock(state, 500_000) == 500_000 - 7
+    state = RouterState(
+        router_id=1, drift_ppm=50.0, sync_residual=-7, sync_interval=500_000, sync_until=500_000
+    )
+    assert local_clock(state, 0) == -7  # synced at 0: the residual applies from the start
+    assert local_clock(state, 500_001) == 500_001 - 7
     # residual stays, drift accumulates on top
-    assert local_clock(state, 1_500_000) == 1_500_000 - 7 + 50
+    assert local_clock(state, 1_500_001) == 1_500_001 - 7 + 50
 
 
 def test_error_bounded_between_periodic_syncs():
-    state = RouterState(router_id=1, drift_ppm=100.0, sync_residual=0)
-    worst = 0
-    for sync_at in range(0, 10_000_000, 1_000_000):
-        apply_time_sync(state, sync_at)
-        for dt in range(0, 1_000_000, 100_000):
-            t = sync_at + dt
-            worst = max(worst, abs(local_clock(state, t) - t))
-    assert worst <= 100  # 100 ppm over a 1e6 ms sync interval
+    state = RouterState(router_id=1, drift_ppm=100.0, sync_interval=1_000_000, sync_until=10_000_000)
+    worst = max(abs(local_clock(state, t) - t) for t in range(0, 10_000_001, 50_000))
+    assert worst == 100  # 100 ppm over a 1e6 ms sync interval
+
+
+def event_driven_oracle(state, receipts):
+    """Reference stamps from the clock as mutable state, moved by sync events.
+
+    A sync event per interval, while it is at most sync_until, resets the
+    offset to the residual and the drift anchor to its instant. Syncs rank
+    as center actions and receipts as radio ones, so at equal times the
+    kernel stamps the receipt first. local_clock must match bit for bit.
+    """
+    kernel = Kernel()
+    clock = {"offset": state.sync_residual, "last_sync": 0}
+    stamps = {}
+
+    def sync_tick(at):
+        clock["offset"], clock["last_sync"] = state.sync_residual, at
+        nxt = at + state.sync_interval
+        if nxt <= state.sync_until:
+            kernel.schedule(nxt, (RANK_CENTER, 1, nxt), sync_tick, nxt)
+
+    def stamp(t):
+        drift = round(state.drift_ppm * (t - clock["last_sync"]) / 1_000_000)
+        stamps[t] = t + clock["offset"] + drift
+
+    first = state.sync_interval
+    if first <= state.sync_until:
+        kernel.schedule(first, (RANK_CENTER, 1, first), sync_tick, first)
+    for i, t in enumerate(sorted(receipts)):
+        kernel.schedule(t, (RANK_RADIO, 1, i), stamp, t)
+    kernel.run_until(max(receipts))
+    return stamps
+
+
+def test_local_clock_matches_event_driven_syncs():
+    rng = random.Random(11)
+    for case in range(300):
+        epilogue = rng.randrange(0, 100)  # radio latency + jitter
+        shape = case % 4
+        if shape == 0:  # a sync falls inside the receipt epilogue, past the horizon
+            interval = rng.randrange(2, 50_000)
+            horizon = interval * rng.randrange(1, 200) - rng.randrange(1, min(interval, epilogue + 2))
+        elif shape == 1:  # no sync at all
+            horizon = rng.randrange(0, 10**6)
+            interval = horizon + rng.randrange(1, 10**6)
+        elif shape == 2:  # a sync exactly at the horizon, or a 1 ms interval
+            interval = rng.choice((1, rng.randrange(1, 10**5)))
+            horizon = interval * rng.randrange(0, 300)
+        else:
+            interval = rng.randrange(1, 10**6)
+            horizon = rng.randrange(0, 300 * interval)
+        state = RouterState(
+            router_id=1,
+            drift_ppm=rng.choice((1e6, -1e6, 0.0, rng.uniform(-1e6, 1e6), rng.uniform(-200, 200))),
+            sync_residual=rng.choice((0, rng.randrange(-(2**40), 0), rng.randrange(-50, 50))),
+            sync_interval=interval,
+            sync_until=horizon,
+        )
+        receipts = {0, 1, horizon}
+        receipts.update(range(horizon + 1, horizon + epilogue + 1))
+        last = horizon // interval
+        for k in {1, 2, last, last + 1, *(rng.randrange(1, 300) for _ in range(5))}:
+            receipts.update(t for t in (k * interval - 1, k * interval, k * interval + 1) if t >= 0)
+        receipts.update(rng.randrange(0, horizon + epilogue + 1) for _ in range(20))
+        oracle = event_driven_oracle(state, receipts)
+        for t in sorted(receipts):
+            assert local_clock(state, t) == oracle[t], (state, t)
 
 
 def test_transparency_forwarded_bytes_equal_received_bytes():

@@ -673,6 +673,13 @@ GOLDEN_OUTPUT_DIGESTS = {
         "timeline.csv": "260d382e6e1687916e1d90a3f3b5f611396574cb024b2d0cbad0a0b32c7b61f0",
         "transport.jsonl": "c7a6957aa141ecac029d704353f6026dfdb713b03e6eef9dc5a2ee541d2ffc31",
     },
+    # Recorded while each router sync was still a kernel event.
+    "odd_sync": {
+        "comparison.csv": "63e12f67d0a557a8381aa56853ce4af7e5556c88753b387ee4701039a861bc10",
+        "run_summary.json": "d4fd51a45682c5a40a8b16dc3f0a4262c7dce4c1e349838fa409c906a00fb063",
+        "timeline.csv": "472c7fa0de909a594c36f308acd4965ea081c3aa7b244739896404b24d8cb538",
+        "transport.jsonl": "df35c96f1b410dfcc75212ec29e5fd3ee4c685e44fb67df225ddbe63bf82eb89",
+    },
     "shared_signals": {
         "comparison.csv": "24a8da70eb259b6c971d9a2f77613e6cfae3a451f22968d3f457b14619948da9",
         "run_summary.json": "61caaf3cce627896ca2d2a8d1014816b68b7a7dbc54b2a4d496574ec8d815084",
@@ -685,16 +692,21 @@ GOLDEN_OUTPUT_DIGESTS = {
 def _golden_variant(name):
     """no_loss_three_routers made lossy and jittery as in criterion 6;
     drift_residual also gives each router its own drift and sync residual.
+    odd_sync is drift_residual with a sync interval whose 40th sync lands
+    40 ms past the horizon, inside the receipt epilogue: no sync fires
+    there, so frames received after the horizon keep the 39th sync's drift.
     shared_signals puts the meter on four overlapping step loads (one running
     past the horizon) and adds four sensors on one noisy ambient signal, two
     of them with the same P0 and dP, scored against the matched baseline on
     an error grid that does not divide the horizon."""
     doc = json.loads((SCENARIO_DIR / "no_loss_three_routers.json").read_text())
     doc["channel"] = {"loss_prob": 0.25, "latency": 50, "jitter": 15}
-    if name == "drift_residual":
+    if name in ("drift_residual", "odd_sync"):
         for rdef, (ppm, residual) in zip(doc["routers"], [(40.0, 12), (-25.0, -30), (7.5, 0)]):
             rdef["drift_ppm"] = ppm
             rdef["sync_residual"] = residual
+    if name == "odd_sync":
+        doc["sync_interval"] = 2_160_001
     if name == "shared_signals":
         hour = 3_600_000
         loads = [
