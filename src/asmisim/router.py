@@ -1,11 +1,14 @@
 """Store-and-forward router with a drifting local clock.
 
 Routers are sensor-agnostic transport: they stamp each incoming frame with
-their local receipt time, buffer it, and hand the whole buffer over at
-every flush. Frame bytes are never decoded beyond a length check, so the
-transport is byte-identical whatever parameter the frames describe. The
-router-to-center backhaul is modeled reliable and ordered; unreliability
-in this system lives on the sensor-to-router radio leg.
+their local receipt time, buffer it, and hand the whole buffer over at a
+flush. A router flushes at multiples of its flush interval, and only when
+it has heard something since the last one: the runner hands it each
+batch's receipts at the batch's flush instant, so no flush is empty. Frame
+bytes are never decoded beyond a length check, so the transport is
+byte-identical whatever parameter the frames describe. The router-to-center
+backhaul is modeled reliable and ordered; unreliability in this system
+lives on the sensor-to-router radio leg.
 
 The center syncs every router at each multiple of the sync interval up to
 the horizon, so a stamp is a function of true time (`local_clock`): true

@@ -2,16 +2,21 @@
 
 One run = one kernel. The wiring follows the system's one-way data flow:
 
-    signal -> sensor -> radio broadcast -> router buffers -> flush batches
-           -> backhaul delay -> center ingest
+    signal -> sensor -> radio broadcast -> router batch -> center ingest
 
-Every stage is scheduled through the kernel with its class rank, so runs
-are reproducible event-for-event. After the horizon the kernel runs a
-short epilogue (radio latency + jitter + backhaul) and the runner drains
-every router buffer straight into the center, so nothing is ever in
-flight when the books are closed: emitted = delivered + radio-lost and
-delivered = dropped + accepted + deduped + quarantined + malformed hold
-exactly, not approximately.
+Nothing upstream reads a router or the center, and a router's stamp is a
+function of true time, so a delivery needs no event of its own. `emit`
+files it in its router's batch for the first flush instant at or after the
+receipt, a positive multiple of the router's flush interval, and the first
+delivery into a batch schedules the one event that ships it. Sensors rank
+before routers, so a receipt exactly on a flush instant makes that flush.
+Batches ship in (flush instant, router id) order, the order of
+transport.jsonl and of center ingest; the backhaul is reliable and ordered,
+so its delay moves no output. The kernel runs to the last possible receipt,
+horizon + latency + jitter, and then each router's batch due after it ships
+at once, in router-id order. Nothing is ever in flight when the books are
+closed: emitted = delivered + radio-lost and delivered = dropped + accepted
++ deduped + quarantined + malformed hold exactly, not approximately.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from itertools import count
+from operator import itemgetter
 from pathlib import Path
 
 from . import baseline as ami
@@ -29,13 +34,7 @@ from .rng import derive_seed
 from .scenario import Scenario
 from .sensor import SensorState
 from .signalgen import Signal, value_at
-from .simkernel import (
-    RANK_CENTER,
-    RANK_RADIO,
-    RANK_ROUTER,
-    Kernel,
-    SimTime,
-)
+from .simkernel import RANK_ROUTER, Kernel, SimTime
 
 COMPARISON_CSV_COLUMNS = (
     "scenario_id",
@@ -114,12 +113,11 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
         "radio_lost": 0,
         "dropped": 0,
     }
-    radio_seq = count()
-    ingest_seq = count()
     transport_rows: list[dict] = []
     spec = scenario.channel
     end_of_receipt = scenario.horizon + spec.latency + spec.jitter
-    end_of_run = end_of_receipt + scenario.backhaul_delay
+    # (router id, flush instant) -> [(receipt time, frame bytes), ...] in emit order
+    batches: dict[tuple[int, SimTime], list[tuple[SimTime, bytes]]] = {}
 
     def emit(frame, t: SimTime) -> None:
         attempts = len(scenario.coverage.routers_for(frame.sensor_id))
@@ -129,17 +127,23 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
         counters["radio_lost"] += attempts - len(deliveries)
         data = radio.frame_bytes(frame)
         for router_id, at in deliveries:
-            key = (RANK_RADIO, router_id, next(radio_seq))
-            kernel.schedule(at, key, router.receive, router_states[router_id], data, at)
+            interval = router_states[router_id].flush_interval
+            due = max(1, -(-at // interval)) * interval
+            batch = batches.get((router_id, due))
+            if batch is None:
+                batch = batches[router_id, due] = []
+                if due <= end_of_receipt:
+                    kernel.schedule(due, (RANK_ROUTER, router_id, due), ship, router_id, due)
+            batch.append((at, data))
 
-    sensor_states: dict[int, SensorState] = {}
-    for descriptor in scenario.sensors:
-        sensor_states[descriptor.sensor_id] = sensor.sampling_driver(
-            descriptor, signals[descriptor.signal_id], kernel, scenario.horizon, emit
-        )
-
-    def log_batch(batch: list[router.ForwardedRecord]) -> None:
-        for rec in batch:
+    def ship(router_id: int, due: SimTime) -> None:
+        """One router flush: buffer the batch in arrival order, then forward it."""
+        state = router_states[router_id]
+        records = batches.pop((router_id, due))
+        records.sort(key=itemgetter(0))  # stable: equal receipt times keep emit order
+        for at, data in records:
+            router.receive(state, data, at)
+        for rec in router.flush(state):
             transport_rows.append(
                 {
                     "router_id": rec.router_id,
@@ -147,38 +151,19 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
                     "frame_hex": rec.frame_bytes.hex(),
                 }
             )
-
-    def ingest_batch(batch: list[router.ForwardedRecord]) -> None:
-        for rec in batch:
             center.ingest(rec)
 
-    def flush_tick(state: router.RouterState, at: SimTime) -> None:
-        """Ship one flushed batch over the (reliable, ordered) backhaul."""
-        batch = router.flush(state)
-        if batch:
-            log_batch(batch)
-            kernel.schedule(
-                at + scenario.backhaul_delay,
-                (RANK_CENTER, state.router_id, next(ingest_seq)),
-                ingest_batch,
-                batch,
-            )
-        nxt = at + state.flush_interval
-        if nxt <= end_of_receipt:
-            kernel.schedule(nxt, (RANK_ROUTER, state.router_id, nxt), flush_tick, state, nxt)
+    sensor_states: dict[int, SensorState] = {}
+    for descriptor in scenario.sensors:
+        sensor_states[descriptor.sensor_id] = sensor.sampling_driver(
+            descriptor, signals[descriptor.signal_id], kernel, scenario.horizon, emit
+        )
 
-    for state in router_states.values():
-        first = state.flush_interval
-        if first <= end_of_receipt:
-            kernel.schedule(first, (RANK_ROUTER, state.router_id, first), flush_tick, state, first)
+    kernel.run_until(end_of_receipt)
 
-    kernel.run_until(end_of_run)
-
-    # Final drain: whatever the periodic flushes missed goes straight in.
-    for router_id in sorted(router_states):
-        batch = router.flush(router_states[router_id])
-        log_batch(batch)
-        ingest_batch(batch)
+    # Final drain: each router's last batch, due after the last receipt.
+    for router_id, due in sorted(batches):
+        ship(router_id, due)
 
     counters["dropped"] = sum(s.dropped for s in router_states.values())
     counters["accepted"] = center.counters["accepted"]

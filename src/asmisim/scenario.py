@@ -324,8 +324,9 @@ def validate(doc: dict) -> Scenario:
 
     outputs = _text(errors, doc, "", "outputs", "out", "must be a non-empty string (directory path)")
 
-    # The last delivery into the center is at horizon + latency + jitter +
-    # backhaul_delay, and every kernel time must stay inside MAX_SIMTIME.
+    # Every kernel time must stay inside MAX_SIMTIME; the last is the last
+    # receipt, at horizon + latency + jitter. backhaul_delay moves no output
+    # but stays in the sum, so the limit a scenario meets is unchanged.
     times = (horizon, latency, jitter, backhaul_delay)
     if None not in times and sum(times) > MAX_SIMTIME:
         message = "plus channel.latency, channel.jitter and backhaul_delay must be at most 2**64-1"

@@ -18,11 +18,11 @@ SimTime = int
 MAX_SIMTIME = 2**64 - 1
 
 # Actor-class ranks used as the first component of priority keys. At equal
-# fire times, upstream actors act before downstream ones.
+# fire times, upstream actors act before downstream ones: a frame a sensor
+# emits at a router's flush instant still makes that flush. The radio and
+# the center act inside sensor and router events and schedule none.
 RANK_SENSOR = 1
-RANK_RADIO = 2
 RANK_ROUTER = 3
-RANK_CENTER = 4
 
 
 class SchedulingInPast(Exception):

@@ -1,10 +1,17 @@
 import random
+from collections import Counter
 
+from asmisim import radio, runner, scenario
+from asmisim.center import MonitoringCenter
 from asmisim.pi_protocol import MsgType, PiFrame, encode
 from asmisim.router import RouterState, flush, local_clock, receive
-from asmisim.simkernel import RANK_CENTER, RANK_RADIO, Kernel
+from asmisim.simkernel import RANK_ROUTER, RANK_SENSOR, Kernel
 
 DAY = 86_400_000
+
+# The reference models below schedule radio receipts and center actions as
+# kernel events, ranked after the sensors and after the routers.
+RANK_RECEIPT, RANK_CENTER = RANK_SENSOR + 1, RANK_ROUTER + 1
 
 
 def wire(seq_no=1):
@@ -102,8 +109,8 @@ def event_driven_oracle(state, receipts):
 
     A sync event per interval, while it is at most sync_until, resets the
     offset to the residual and the drift anchor to its instant. Syncs rank
-    as center actions and receipts as radio ones, so at equal times the
-    kernel stamps the receipt first. local_clock must match bit for bit.
+    as center actions, after receipts, so at equal times the kernel stamps
+    the receipt first. local_clock must match bit for bit.
     """
     kernel = Kernel()
     clock = {"offset": state.sync_residual, "last_sync": 0}
@@ -123,7 +130,7 @@ def event_driven_oracle(state, receipts):
     if first <= state.sync_until:
         kernel.schedule(first, (RANK_CENTER, 1, first), sync_tick, first)
     for i, t in enumerate(sorted(receipts)):
-        kernel.schedule(t, (RANK_RADIO, 1, i), stamp, t)
+        kernel.schedule(t, (RANK_RECEIPT, 1, i), stamp, t)
     kernel.run_until(max(receipts))
     return stamps
 
@@ -174,3 +181,142 @@ def test_transparency_forwarded_bytes_equal_received_bytes():
         receive(state, data, 100 + i)
     shipped.extend(flush(state))
     assert [r.frame_bytes for r in shipped] == frames + frames
+
+
+def event_driven_transport(sc, deliveries):
+    """Reference transport leg, with every receipt, flush and ingest an event.
+
+    `deliveries` are (router id, receipt time, frame bytes) in emit order.
+    Each receipt is a kernel event keyed by its emit order. Each router
+    flushes at every multiple of its flush interval up to the last possible
+    receipt; a non-empty batch is logged at once and ingested backhaul_delay
+    later as a center event. What is still buffered after that is drained
+    in router-id order. Returns the transport rows, the center and the
+    routers' drop count; the runner must match all three exactly.
+    """
+    kernel = Kernel()
+    center = MonitoringCenter(nominal_latency=sc.channel.latency)
+    states = {}
+    for rdef in sc.routers:
+        states[rdef.router_id] = RouterState(
+            rdef.router_id, rdef.drift_ppm, rdef.flush_interval, rdef.sync_residual, sc.sync_interval, sc.horizon
+        )
+        center.register_router(rdef.router_id, rdef.location, rdef.sync_residual)
+    for descriptor in sc.sensors:
+        center.register_sensor(descriptor, sc.sensor_locations[descriptor.sensor_id])
+    end_of_receipt = sc.horizon + sc.channel.latency + sc.channel.jitter
+    rows = []
+
+    def log(batch):
+        rows.extend(
+            {"router_id": r.router_id, "local_receipt_time_ms": r.local_receipt_time, "frame_hex": r.frame_bytes.hex()}
+            for r in batch
+        )
+
+    def ingest(batch):
+        for rec in batch:
+            center.ingest(rec)
+
+    def flush_tick(state, at):
+        batch = flush(state)
+        if batch:
+            log(batch)
+            kernel.schedule(at + sc.backhaul_delay, (RANK_CENTER, state.router_id, at), ingest, batch)
+        nxt = at + state.flush_interval
+        if nxt <= end_of_receipt:
+            kernel.schedule(nxt, (RANK_ROUTER, state.router_id, nxt), flush_tick, state, nxt)
+
+    for state in states.values():
+        if state.flush_interval <= end_of_receipt:
+            first = state.flush_interval
+            kernel.schedule(first, (RANK_ROUTER, state.router_id, first), flush_tick, state, first)
+    for seq, (router_id, at, data) in enumerate(deliveries):
+        kernel.schedule(at, (RANK_RECEIPT, router_id, seq), receive, states[router_id], data, at)
+    kernel.run_until(end_of_receipt + sc.backhaul_delay)
+    for router_id in sorted(states):
+        batch = flush(states[router_id])
+        log(batch)
+        ingest(batch)
+    return rows, center, sum(state.dropped for state in states.values())
+
+
+def _transport_scenario(rng, case):
+    """A small seeded run whose receipts fall on the transport's edges."""
+    horizon = rng.randrange(1_000, 8_000)
+    latency = 0 if case % 3 == 0 else rng.randrange(0, 40)
+    jitter = rng.choice((0, rng.randrange(1, 15), rng.randrange(1, 15)))
+    end = horizon + latency + jitter
+    divisor = rng.choice([d for d in range(2, 40) if end % d == 0] or [1])
+    intervals = [1, end // divisor, end, end + rng.randrange(1, 10**6), rng.randrange(2, 50), rng.randrange(50, 3000)]
+    routers = [
+        {"id": router_id, "flush_interval": rng.choice(intervals), "drift_ppm": rng.uniform(-300, 300),
+         "sync_residual": rng.randrange(-20, 20)}
+        for router_id in rng.sample(range(1, 9), rng.randrange(2, 4))
+    ]
+    period = rng.randrange(5, 200)  # ms between meter crossings
+    # statuses on flush multiples
+    status = rng.choice([r["flush_interval"] for r in routers if 100 <= r["flush_interval"] <= horizon] or [999])
+    ids = [r["id"] for r in routers]
+    return scenario.validate({
+        "seed": rng.randrange(2**32),
+        "horizon": horizon,
+        "signals": [
+            {"id": "meter", "kind": "cumulative", "unit": "kWh", "base_rate_per_hour": 0.5 * 3_600_000 / period},
+            {"id": "air", "kind": "ambient", "unit": "degC", "mean": 21.0, "amplitude": 1.0, "period": horizon,
+             "noise_sigma": 0.05, "noise_step": 100},
+        ],
+        "sensors": [
+            {"sensor_id": 1, "dP": 0.5, "P0": 0.0, "mode": "MONOTONIC", "status_interval": status, "signal": "meter"},
+            # same grid on one signal: both emit at the same instants, from t = 0
+            {"sensor_id": 2, "dP": 0.25, "P0": 20.0, "mode": "BIDIRECTIONAL", "status_interval": status, "signal": "air"},
+            {"sensor_id": 3, "dP": 0.25, "P0": 20.0, "mode": "BIDIRECTIONAL", "status_interval": 2 * status,
+             "signal": "air"},
+        ],
+        "routers": routers,
+        "coverage": {str(sensor_id): rng.sample(ids, rng.randrange(1, len(ids) + 1)) for sensor_id in (1, 2, 3)},
+        "channel": {"loss_prob": rng.choice((0.0, 0.2)), "latency": latency, "jitter": jitter},
+        "sync_interval": rng.randrange(1, 5_000),
+        "backhaul_delay": rng.randrange(0, 1_000),
+    })
+
+
+def test_shipping_on_demand_matches_event_driven_transport(monkeypatch):
+    seen = Counter()
+    original = radio.broadcast
+    for case in range(40):
+        sc = _transport_scenario(random.Random(case), case)
+        deliveries, emitted_at = [], []
+
+        def recording(frame, sensor_id, t, coverage, channel):
+            out = original(frame, sensor_id, t, coverage, channel)
+            deliveries.extend((router_id, at, encode(frame)) for router_id, at in out)
+            emitted_at.extend(t for _ in out)
+            return out
+
+        monkeypatch.setattr(radio, "broadcast", recording)
+        result = runner.run_scenario(sc)
+        rows, center, dropped = event_driven_transport(sc, deliveries)
+        assert result.transport_rows == rows, case
+        assert result.center.timeline_rows() == center.timeline_rows(), case
+        assert result.center.counters == center.counters, case
+        assert (result.counters["delivered"], result.counters["dropped"]) == (len(deliveries), dropped), case
+
+        # The edges these runs must reach, counted over all cases.
+        end = sc.horizon + sc.channel.latency + sc.channel.jitter
+        interval = {r.router_id: r.flush_interval for r in sc.routers}
+        first_emit, drained = {}, set()
+        for (router_id, at, _data), t in zip(deliveries, emitted_at):
+            f = interval[router_id]
+            seen["receipt at 0"] += at == 0
+            seen["receipt on a flush multiple"] += at > 0 and f > 1 and at % f == 0
+            seen["same-ms receipts emitted apart"] += first_emit.setdefault((router_id, at), t) != t
+            if max(1, -(-at // f)) * f > end:
+                drained.add(router_id)
+        seen["F = 1"] += 1 in interval.values()
+        seen["1 < F dividing the end of receipts"] += any(1 < f <= end and end % f == 0 for f in interval.values())
+        seen["F past the end of receipts"] += any(f > end for f in interval.values())
+        seen["drain records on two routers"] += len(drained) >= 2
+    assert all(seen[edge] for edge in (
+        "receipt at 0", "receipt on a flush multiple", "same-ms receipts emitted apart", "F = 1",
+        "1 < F dividing the end of receipts", "F past the end of receipts", "drain records on two routers",
+    )), seen

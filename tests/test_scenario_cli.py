@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from asmisim import baseline, cli, pi_protocol, runner, scenario
+from asmisim import baseline, cli, pi_protocol, router, runner, scenario
 from asmisim.center import TIMELINE_CSV_COLUMNS, MonitoringCenter
 from asmisim.pi_protocol import MsgType, PiFrame
 from asmisim.router import ForwardedRecord
@@ -480,6 +480,44 @@ def test_end_of_run_at_max_simtime_validates():
     assert scenario.validate(doc).backhaul_delay == MAX_SIMTIME - 86_400_050
 
 
+def _recording_flushes(monkeypatch, limit=None):
+    """Batch sizes of every router.flush call; more than `limit` calls raise."""
+    sizes = []
+    original = router.flush
+
+    def recording(state):
+        batch = original(state)
+        sizes.append(len(batch))
+        assert limit is None or len(sizes) <= limit, "flushes follow the clock, not the traffic"
+        return batch
+
+    monkeypatch.setattr(router, "flush", recording)
+    return sizes
+
+
+def test_every_router_flush_ships_a_record(monkeypatch):
+    doc = json.loads((SCENARIO_DIR / "quiet_day.json").read_text())
+    doc["routers"][0]["flush_interval"] = 1_000  # 86 400 flush instants a day, 8 frames
+    sizes = _recording_flushes(monkeypatch)
+    result = runner.run_scenario(scenario.validate(doc))
+    assert sizes and min(sizes) >= 1
+    assert sum(sizes) == len(result.transport_rows) == result.counters["delivered"] > 0
+
+
+def test_run_whose_last_receipt_is_at_max_simtime_ships_every_record(monkeypatch):
+    doc = json.loads((SCENARIO_DIR / "quiet_day.json").read_text())
+    doc["channel"]["latency"] = MAX_SIMTIME - doc["horizon"]  # the status at the horizon lands on 2**64-1
+    doc["backhaul_delay"] = 0
+    doc["routers"].append({"id": 2, "flush_interval": 1})  # its last batch ships at 2**64-1
+    doc["coverage"] = {"1": [1, 2], "2": [1, 2]}
+    sizes = _recording_flushes(monkeypatch, limit=100)
+    result = runner.run_scenario(scenario.validate(doc))
+    rows = result.transport_rows
+    assert sum(sizes) == len(rows) == result.counters["delivered"] == result.counters["emitted"] > 0
+    assert max(row["local_receipt_time_ms"] for row in rows if row["router_id"] == 2) == MAX_SIMTIME
+    assert result.counters["accepted"] == sum(state.seq_no for state in result.sensor_states.values())
+
+
 def test_load_uses_filename_as_default_id(tmp_path):
     doc = minimal_config()
     del doc["scenario_id"]
@@ -680,6 +718,14 @@ GOLDEN_OUTPUT_DIGESTS = {
         "timeline.csv": "472c7fa0de909a594c36f308acd4965ea081c3aa7b244739896404b24d8cb538",
         "transport.jsonl": "df35c96f1b410dfcc75212ec29e5fd3ee4c685e44fb67df225ddbe63bf82eb89",
     },
+    # Recorded while each receipt, router flush and center ingest was a
+    # kernel event.
+    "flush_edges": {
+        "comparison.csv": "82c873ca04efdba014b19da241f702be4e7e50e4aa41e03869611e95595bdf7b",
+        "run_summary.json": "6d08a791c6e1fe98af076b97ca265d397ad9573ba9cd597173ae3941a791ac1b",
+        "timeline.csv": "a302b065d9dd2233128e598957ba6aa9d103cceb4655b8c05fae8fc52bad9b20",
+        "transport.jsonl": "888df0ebb4e2b4314060824a32bfbab4722b902da42cdc2753d3314b96eaa487",
+    },
     "shared_signals": {
         "comparison.csv": "24a8da70eb259b6c971d9a2f77613e6cfae3a451f22968d3f457b14619948da9",
         "run_summary.json": "61caaf3cce627896ca2d2a8d1014816b68b7a7dbc54b2a4d496574ec8d815084",
@@ -695,6 +741,11 @@ def _golden_variant(name):
     odd_sync is drift_residual with a sync interval whose 40th sync lands
     40 ms past the horizon, inside the receipt epilogue: no sync fires
     there, so frames received after the horizon keep the 39th sync's drift.
+    flush_edges has no latency and 0-2 ms of jitter, flush intervals of
+    1 min, 1 s and horizon + jitter, and two thermometers on one ambient
+    signal whose P0 lies below its start: it has receipts at 0 and on flush
+    multiples, same-millisecond ties at one router, and drain records on
+    two routers.
     shared_signals puts the meter on four overlapping step loads (one running
     past the horizon) and adds four sensors on one noisy ambient signal, two
     of them with the same P0 and dP, scored against the matched baseline on
@@ -707,6 +758,20 @@ def _golden_variant(name):
             rdef["sync_residual"] = residual
     if name == "odd_sync":
         doc["sync_interval"] = 2_160_001
+    if name == "flush_edges":
+        doc["channel"] = {"loss_prob": 0.25, "latency": 0, "jitter": 2}
+        for rdef, interval in zip(doc["routers"], [60_000, 1_000, 86_400_002]):
+            rdef["flush_interval"] = interval
+        doc["signals"].append(
+            {"id": "air", "kind": "ambient", "unit": "degC", "mean": 21.0, "amplitude": 2.5,
+             "phase": 3_600_000, "noise_sigma": 0.05, "noise_step": 300_000}
+        )
+        for sensor_id in (11, 12):
+            doc["sensors"].append(
+                {"sensor_id": sensor_id, "parameter": "temperature", "unit": "degC", "dP": 0.25, "P0": 19.0,
+                 "mode": "BIDIRECTIONAL", "status_interval": 3_600_000, "signal": "air", "location": "room"}
+            )
+        doc["coverage"].update({"11": [1, 2], "12": [2, 3]})
     if name == "shared_signals":
         hour = 3_600_000
         loads = [

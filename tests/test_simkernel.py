@@ -2,8 +2,7 @@ import pytest
 
 from asmisim.simkernel import (
     MAX_SIMTIME,
-    RANK_CENTER,
-    RANK_RADIO,
+    RANK_ROUTER,
     RANK_SENSOR,
     Kernel,
     SchedulingInPast,
@@ -24,12 +23,12 @@ def test_fires_in_time_order():
 def test_same_instant_ordered_by_priority_key():
     kernel = Kernel()
     log = []
-    kernel.schedule(5, (RANK_CENTER, 0, 0), lambda: log.append("center"))
+    kernel.schedule(5, (RANK_ROUTER, 1, 0), lambda: log.append("router1"))
     kernel.schedule(5, (RANK_SENSOR, 2, 0), lambda: log.append("sensor2"))
     kernel.schedule(5, (RANK_SENSOR, 1, 0), lambda: log.append("sensor1"))
-    kernel.schedule(5, (RANK_RADIO, 0, 0), lambda: log.append("radio"))
+    kernel.schedule(5, (RANK_ROUTER, 0, 0), lambda: log.append("router0"))
     kernel.run_until(5)
-    assert log == ["sensor1", "sensor2", "radio", "center"]
+    assert log == ["sensor1", "sensor2", "router0", "router1"]
 
 
 def test_same_key_falls_back_to_insertion_order():
@@ -79,7 +78,7 @@ def test_action_scheduling_at_current_instant_fires_in_same_pass():
 
     def outer():
         log.append("outer")
-        kernel.schedule(5, (RANK_CENTER, 0, 0), lambda: log.append("inner"))
+        kernel.schedule(5, (RANK_ROUTER, 0, 0), lambda: log.append("inner"))
 
     kernel.schedule(5, (RANK_SENSOR, 0, 0), outer)
     kernel.run_until(5)
@@ -143,13 +142,13 @@ def test_schedule_passes_args_to_callable():
 def test_args_events_and_lambdas_share_one_order():
     kernel = Kernel()
     log = []
-    kernel.schedule(5, (RANK_RADIO, 0, 0), log.append, "radio")
+    kernel.schedule(5, (RANK_ROUTER, 0, 0), log.append, "router")
     kernel.schedule(5, (RANK_SENSOR, 1, 0), lambda: log.append("sensor1-first"))
     kernel.schedule(5, (RANK_SENSOR, 1, 0), log.append, "sensor1-second")
     kernel.schedule(5, (RANK_SENSOR, 0, 1), lambda: log.append("sensor0"))
-    kernel.schedule(4, (RANK_CENTER, 0, 0), log.append, "earlier")
+    kernel.schedule(4, (RANK_ROUTER, 0, 0), log.append, "earlier")
     kernel.run_until(5)
-    assert log == ["earlier", "sensor0", "sensor1-first", "sensor1-second", "radio"]
+    assert log == ["earlier", "sensor0", "sensor1-first", "sensor1-second", "router"]
 
 
 def test_counts():
