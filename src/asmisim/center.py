@@ -9,6 +9,10 @@ latency. Whatever error remains (drift between syncs, jitter) stays in the
 corrected times: the uncertainty halfwidth is dp times the seq_no gap, so it
 reflects lost frames, not timing error.
 
+Ingest unpacks each record once and computes its corrected time once, from
+the residual registered for its router (0 for a router never registered)
+and `nominal_latency` as it stands at that ingest.
+
 Every router forwards the same bytes, so a byte-identical copy of an
 accepted frame skips decode and goes straight to dedup: the CRC is checked
 once per distinct byte string. Any other record, a corrupted or truncated
@@ -134,6 +138,8 @@ class MonitoringCenter:
         self.nominal_latency = nominal_latency
         self.sensors: dict[int, RegisteredSensor] = {}
         self.routers: dict[int, RegisteredRouter] = {}
+        # router_id -> sync residual, as registered; an unknown router's is 0
+        self._residuals: dict[int, int] = {}
         self.counters: dict[str, int] = {"accepted": 0, "deduped": 0, "quarantined": 0, "malformed": 0}
         self._timelines: dict[int, _Timeline] = {}
         # sensor_id -> [(arrival number, record)] for sensors not yet registered
@@ -154,6 +160,7 @@ class MonitoringCenter:
 
     def register_router(self, router_id: int, location: str = "", sync_residual: int = 0) -> None:
         self.routers[router_id] = RegisteredRouter(location, sync_residual)
+        self._residuals[router_id] = sync_residual
 
     def quarantined_records(self) -> list[ForwardedRecord]:
         """Records held for unregistered sensors, in global arrival order."""
@@ -161,14 +168,10 @@ class MonitoringCenter:
 
     # -- ingest -----------------------------------------------------------
 
-    def _corrected_time(self, rec: ForwardedRecord) -> SimTime:
-        registered = self.routers.get(rec.router_id)
-        residual = registered.sync_residual if registered is not None else 0
-        return rec.local_receipt_time - residual - self.nominal_latency
-
     def ingest(self, rec: ForwardedRecord) -> IngestOutcome:
         """Process one forwarded record; every outcome is a returned status."""
-        data = rec.frame_bytes
+        router_id, data, local = rec
+        corrected = local - self._residuals.get(router_id, 0) - self.nominal_latency
         store = existing = None
         if len(data) == FRAME_LEN:
             sensor_id, seq_no = _WIRE_KEY.unpack_from(data, 1)
@@ -190,14 +193,11 @@ class MonitoringCenter:
                 return IngestOutcome.QUARANTINED
             existing = store.by_seq.get(frame.seq_no)
             if existing is None:
-                entry = TimelineEntry(
-                    self._corrected_time(rec), frame.level_index, frame.msg_type, frame.seq_no, bytes(data)
-                )
+                entry = TimelineEntry(corrected, frame.level_index, frame.msg_type, frame.seq_no, bytes(data))
                 store.by_seq[frame.seq_no] = entry
                 store.place(entry)
                 self.counters["accepted"] += 1
                 return IngestOutcome.ACCEPTED
-        corrected = self._corrected_time(rec)
         if corrected < existing.estimated_event_time:
             store.move(existing, corrected)
         self.counters["deduped"] += 1

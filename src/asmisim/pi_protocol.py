@@ -92,47 +92,47 @@ class PiFrame:
     version: int = PI_VERSION
 
 
+# The header byte of each accepted (version, msg_type), and back.
+_HEADERS = {(PI_VERSION, t): (PI_VERSION << 4) | t for t in MsgType}
+_HEADER_TYPES = {header: t for (_, t), header in _HEADERS.items()}
+_CRC_BYTES = tuple(bytes((crc,)) for crc in range(256))
+
+
 def encode(frame: PiFrame) -> bytes:
-    """Serialize a frame to its 14-byte wire form."""
-    if frame.version != PI_VERSION:
-        raise InvalidHeader(f"version must be {PI_VERSION}, got {frame.version}")
-    if frame.msg_type not in (MsgType.EVENT, MsgType.STATUS):
-        raise InvalidHeader(f"unknown msg_type {frame.msg_type!r}")
-    if not 0 <= frame.sensor_id < 2**32:
-        raise InvalidHeader(f"sensor_id {frame.sensor_id} outside unsigned 32-bit range")
-    if not 0 <= frame.seq_no < 2**32:
-        raise InvalidHeader(f"seq_no {frame.seq_no} outside unsigned 32-bit range")
-    if not -(2**31) <= frame.level_index < 2**31:
-        raise InvalidHeader(f"level_index {frame.level_index} outside signed 32-bit range")
-    body = _BODY.pack(
-        (frame.version << 4) | int(frame.msg_type),
-        frame.sensor_id,
-        frame.seq_no,
-        frame.level_index,
-    )
-    return body + bytes((crc8(body),))
+    """Serialize a frame to its 14-byte wire form.
+
+    Every refusal is InvalidHeader: a version or msg_type with no header
+    byte, or a body field that is not an integer in its wire range.
+    """
+    try:
+        header = _HEADERS[frame.version, frame.msg_type]
+    except (KeyError, TypeError):  # TypeError: an unhashable field
+        raise InvalidHeader(f"no header for version {frame.version!r}, msg_type {frame.msg_type!r}") from None
+    try:
+        body = _BODY.pack(header, frame.sensor_id, frame.seq_no, frame.level_index)
+    except struct.error as exc:
+        raise InvalidHeader(
+            f"sensor_id {frame.sensor_id!r}, seq_no {frame.seq_no!r}, level_index {frame.level_index!r}: {exc}"
+        ) from None
+    return body + _CRC_BYTES[crc8(body)]
 
 
 def decode(data: bytes) -> PiFrame:
     """Parse a 14-byte wire frame; inverse of encode on the valid domain.
 
-    Failures are distinguishable: BadLength, BadCrc, UnknownVersion,
-    UnknownType.
+    Failures are distinguishable and checked in this order: BadLength,
+    BadCrc, UnknownVersion, UnknownType. The CRC is checked by its residue:
+    with init 0, no reflection and no final XOR, the CRC of the whole frame
+    is 0 exactly when byte 13 is the CRC of bytes 0-12.
     """
     if len(data) != FRAME_LEN:
         raise BadLength(f"expected {FRAME_LEN} bytes, got {len(data)}")
-    if crc8(data[:13]) != data[13]:
+    if crc8(data):
         raise BadCrc(f"crc mismatch: computed {crc8(data[:13]):#04x}, frame carries {data[13]:#04x}")
-    header, sensor_id, seq_no, level_index = _BODY.unpack(data[:13])
-    version = header >> 4
-    msg_type = header & 0x0F
-    if version != PI_VERSION:
-        raise UnknownVersion(f"version {version}")
-    if msg_type not in (MsgType.EVENT, MsgType.STATUS):
-        raise UnknownType(f"msg_type {msg_type}")
-    return PiFrame(
-        msg_type=MsgType(msg_type),
-        sensor_id=sensor_id,
-        seq_no=seq_no,
-        level_index=level_index,
-    )
+    header, sensor_id, seq_no, level_index = _BODY.unpack_from(data)
+    msg_type = _HEADER_TYPES.get(header)
+    if msg_type is None:
+        if header >> 4 != PI_VERSION:
+            raise UnknownVersion(f"version {header >> 4}")
+        raise UnknownType(f"msg_type {header & 0x0F}")
+    return PiFrame(msg_type, sensor_id, seq_no, level_index)

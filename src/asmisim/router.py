@@ -18,13 +18,15 @@ time + sync residual + the drift since the last sync strictly before it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .pi_protocol import FRAME_LEN
 from .simkernel import SimTime
 
 
-@dataclass(frozen=True)
-class ForwardedRecord:
+class ForwardedRecord(NamedTuple):
+    """A stamped frame on the backhaul; equal to the plain tuple of its fields."""
+
     router_id: int
     frame_bytes: bytes
     local_receipt_time: SimTime

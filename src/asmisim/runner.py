@@ -94,7 +94,9 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
 
     center = MonitoringCenter(nominal_latency=scenario.channel.latency)
     router_states: dict[int, router.RouterState] = {}
+    flush_intervals: dict[int, SimTime] = {}
     for rdef in scenario.routers:
+        flush_intervals[rdef.router_id] = rdef.flush_interval
         router_states[rdef.router_id] = router.RouterState(
             router_id=rdef.router_id,
             drift_ppm=rdef.drift_ppm,
@@ -119,15 +121,19 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
     # (router id, flush instant) -> [(receipt time, frame bytes), ...] in emit order
     batches: dict[tuple[int, SimTime], list[tuple[SimTime, bytes]]] = {}
 
+    coverage = scenario.coverage
+    covering = coverage.covering  # sensor_id -> covering router ids
+
     def emit(frame, t: SimTime) -> None:
-        attempts = len(scenario.coverage.routers_for(frame.sensor_id))
-        deliveries = radio.broadcast(frame, frame.sensor_id, t, scenario.coverage, channel)
+        sensor_id = frame.sensor_id
+        attempts = len(covering.get(sensor_id, ()))
+        deliveries = radio.broadcast(frame, sensor_id, t, coverage, channel)
         counters["emitted"] += attempts
         counters["delivered"] += len(deliveries)
         counters["radio_lost"] += attempts - len(deliveries)
         data = radio.frame_bytes(frame)
         for router_id, at in deliveries:
-            interval = router_states[router_id].flush_interval
+            interval = flush_intervals[router_id]
             due = max(1, -(-at // interval)) * interval
             batch = batches.get((router_id, due))
             if batch is None:

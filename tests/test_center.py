@@ -4,13 +4,15 @@ import pytest
 
 from asmisim import pi_protocol
 from asmisim.center import (
+    _WIRE_KEY,
     DuplicateRegistration,
     IngestOutcome,
     Liveness,
     MonitoringCenter,
+    TimelineEntry,
     UnknownSensor,
 )
-from asmisim.pi_protocol import MsgType, PiFrame, encode
+from asmisim.pi_protocol import FRAME_LEN, MsgType, PiFrame, encode
 from asmisim.router import ForwardedRecord
 from asmisim.sensor import SensorDescriptor, SensorMode
 
@@ -514,3 +516,93 @@ def test_hostile_records_are_counted_and_never_raise():
         keys = [(e.estimated_event_time, e.seq_no) for e in center.timeline(sensor_id)]
         assert keys == sorted(keys)
         assert len(set(seq for _, seq in keys)) == len(keys)
+
+
+class _ReferenceCenter(MonitoringCenter):
+    """The center with ingest as it stood before ingest unpacked each record
+    once and read residuals from a dict, kept verbatim as the reference."""
+
+    def _corrected_time(self, rec: ForwardedRecord):
+        registered = self.routers.get(rec.router_id)
+        residual = registered.sync_residual if registered is not None else 0
+        return rec.local_receipt_time - residual - self.nominal_latency
+
+    def ingest(self, rec: ForwardedRecord) -> IngestOutcome:
+        """Process one forwarded record; every outcome is a returned status."""
+        data = rec.frame_bytes
+        store = existing = None
+        if len(data) == FRAME_LEN:
+            sensor_id, seq_no = _WIRE_KEY.unpack_from(data, 1)
+            store = self._timelines.get(sensor_id)
+            if store is not None:
+                existing = store.by_seq.get(seq_no)
+                if existing is not None and existing.frame_bytes != data:
+                    existing = None
+        if existing is None:
+            try:
+                frame = pi_protocol.decode(data)
+            except pi_protocol.PiProtocolError:
+                self.counters["malformed"] += 1
+                return IngestOutcome.MALFORMED
+            # decode takes only FRAME_LEN bytes: `store` is this frame's sensor's
+            if store is None:
+                self._quarantine.setdefault(frame.sensor_id, []).append((next(self._arrivals), rec))
+                self.counters["quarantined"] += 1
+                return IngestOutcome.QUARANTINED
+            existing = store.by_seq.get(frame.seq_no)
+            if existing is None:
+                entry = TimelineEntry(
+                    self._corrected_time(rec), frame.level_index, frame.msg_type, frame.seq_no, bytes(data)
+                )
+                store.by_seq[frame.seq_no] = entry
+                store.place(entry)
+                self.counters["accepted"] += 1
+                return IngestOutcome.ACCEPTED
+        corrected = self._corrected_time(rec)
+        if corrected < existing.estimated_event_time:
+            store.move(existing, corrected)
+        self.counters["deduped"] += 1
+        return IngestOutcome.DUPLICATE
+
+
+def _genuine_records(rng, count):
+    """Valid frames of sensors 1, 2, 3 and 9, each heard by one to three of
+    routers 0-4 within 400 ms; seq_no repeats, often with another level."""
+    for _ in range(count):
+        msg_type = rng.choice((MsgType.EVENT, MsgType.STATUS))
+        frame = PiFrame(msg_type, rng.choice((1, 2, 3, 9)), rng.randrange(1, 300), rng.randrange(-40, 40))
+        data = encode(frame)
+        t = rng.randrange(0, 86_400_000)
+        for router_id in rng.sample(range(5), rng.randrange(1, 4)):
+            yield ForwardedRecord(router_id, data, t + rng.randrange(0, 400))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ingest_matches_reference_on_hostile_and_duplicated_streams(seed):
+    rng = random.Random(seed)
+    stream = list(_hostile_records(rng, 3_000)) + list(_genuine_records(rng, 3_000))
+    rng.shuffle(stream)
+    center, reference = centers = (MonitoringCenter(nominal_latency=50), _ReferenceCenter(nominal_latency=50))
+    for c in centers:
+        for sensor_id in (1, 2, 3):
+            c.register_sensor(meter(sensor_id=sensor_id))
+        c.register_router(1)
+        c.register_router(2, sync_residual=-7)
+    outcomes = ([], [])
+    third = len(stream) // 3
+    for k, rec in enumerate(stream):
+        for c, out in zip(centers, outcomes):
+            if k == third:
+                # Router 3 registers mid-stream; routers 0 and 4 never do.
+                c.register_router(3, sync_residual=12)
+            elif k == 2 * third:
+                # The latency changes after every registration, and sensor 9
+                # registers under it, replaying its quarantined frames.
+                c.nominal_latency = 75
+                c.register_sensor(meter(sensor_id=9))
+            out.append(c.ingest(rec))
+    assert outcomes[0] == outcomes[1]
+    assert set(outcomes[0]) == set(IngestOutcome)
+    assert center.counters == reference.counters
+    assert center.timeline_rows() == reference.timeline_rows()
+    assert center.quarantined_records() == reference.quarantined_records() != []

@@ -14,7 +14,7 @@ from asmisim.center import TIMELINE_CSV_COLUMNS, MonitoringCenter
 from asmisim.pi_protocol import MsgType, PiFrame
 from asmisim.router import ForwardedRecord
 from asmisim.sensor import SensorDescriptor, SensorMode
-from asmisim.signalgen import LevelOutOfRange, value_at
+from asmisim.signalgen import LevelOutOfRange, SignalError, value_at
 from asmisim.simkernel import MAX_SIMTIME
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -360,7 +360,7 @@ def test_hostile_mutations_validate_or_raise_validation_error():
     text = (SCENARIO_DIR / "burst_day.json").read_text()
     paths = list(_paths(json.loads(text)))
     rng = random.Random(2024)
-    outcomes = {"valid": 0, "rejected": 0}
+    outcomes = {"rejected": 0, "completed": 0, "signal_error": 0}
     for _ in range(3_000):
         doc = json.loads(text)
         for path in rng.sample(paths, rng.randrange(1, 4)):
@@ -376,11 +376,22 @@ def test_hostile_mutations_validate_or_raise_validation_error():
             elif isinstance(parent, (dict, list)):
                 parent[path[-1]] = copy.deepcopy(rng.choice(HOSTILE_VALUES))
         try:
-            assert isinstance(scenario.validate(doc), scenario.Scenario)
-            outcomes["valid"] += 1
+            sc = scenario.validate(doc)
         except scenario.ScenarioValidationError:
             outcomes["rejected"] += 1
-    assert all(outcomes.values())
+            continue
+        assert isinstance(sc, scenario.Scenario)
+        # A document that validates runs to completion with both
+        # conservation identities exact, or raises a documented SignalError.
+        try:
+            c = runner.run_scenario(sc).counters
+        except SignalError:
+            outcomes["signal_error"] += 1
+            continue
+        assert c["emitted"] == c["delivered"] + c["radio_lost"]
+        assert c["delivered"] == c["dropped"] + c["accepted"] + c["deduped"] + c["quarantined"] + c["malformed"]
+        outcomes["completed"] += 1
+    assert outcomes["rejected"] and outcomes["completed"], outcomes
 
 
 TIME_FIELDS = (
