@@ -51,6 +51,9 @@ from .simkernel import SimTime
 # sensor_id and seq_no as they sit on the wire, at bytes 1-8 of a frame.
 _WIRE_KEY = struct.Struct(">II")
 
+# A MsgType's name by dict lookup: Enum.name is a property, slow per row.
+_TYPE_NAMES = {t: t.name for t in MsgType}
+
 
 class UnknownSensor(Exception):
     """Query for a sensor id absent from the registry."""
@@ -92,13 +95,19 @@ class _Timeline:
     times: list[SimTime] = field(default_factory=list)
 
     def place(self, entry: TimelineEntry) -> None:
-        """Bisect on time, then step back over equal times with higher seq_no."""
+        """Append an entry strictly later than the last; otherwise bisect on
+        time, then step back over equal times with higher seq_no."""
         t = entry.estimated_event_time
-        i = bisect_right(self.times, t)
-        while i and self.times[i - 1] == t and self.entries[i - 1].seq_no > entry.seq_no:
+        times = self.times
+        if not times or t > times[-1]:
+            self.entries.append(entry)
+            times.append(t)
+            return
+        i = bisect_right(times, t)
+        while i and times[i - 1] == t and self.entries[i - 1].seq_no > entry.seq_no:
             i -= 1
         self.entries.insert(i, entry)
-        self.times.insert(i, t)
+        times.insert(i, t)
 
     def move(self, entry: TimelineEntry, t: SimTime) -> None:
         """Re-place a placed entry whose time is lowered to t."""
@@ -311,7 +320,7 @@ class MonitoringCenter:
                     (
                         sensor_id,
                         entry.seq_no,
-                        entry.msg_type.name,
+                        _TYPE_NAMES[entry.msg_type],
                         entry.estimated_event_time,
                         entry.level_index,
                         value,

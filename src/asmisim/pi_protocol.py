@@ -22,8 +22,8 @@ hex vectors in the test suite pin it bit-for-bit.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 FRAME_LEN = 14
 PI_VERSION = 1
@@ -81,9 +81,11 @@ def crc8(data: bytes) -> int:
     return crc
 
 
-@dataclass(frozen=True)
-class PiFrame:
-    """One sensor transmission. The checksum lives only on the wire."""
+class PiFrame(NamedTuple):
+    """One sensor transmission. The checksum lives only on the wire.
+
+    Immutable, and equal to the plain tuple of its fields in this order.
+    """
 
     msg_type: MsgType
     sensor_id: int

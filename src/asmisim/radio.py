@@ -73,15 +73,18 @@ def broadcast(
     if not routers:
         raise UncoveredSensor(f"sensor {sensor_id} has no covering router")
     spec = channel.spec
+    loss_prob, latency, jitter = spec.loss_prob, spec.latency, spec.jitter
+    streams = channel._streams
     deliveries: list[tuple[int, SimTime]] = []
     for router_id in routers:
-        rng = channel.link_rng(sensor_id, router_id)
-        if rng.random() < spec.loss_prob:
+        rng = streams.get((sensor_id, router_id)) or channel.link_rng(sensor_id, router_id)
+        if rng.random() < loss_prob:
             continue
-        delay = spec.latency
-        if spec.jitter:
-            delay += rng.randint(0, spec.jitter)
-        deliveries.append((router_id, t + delay))
+        if jitter:
+            # randrange(n + 1) draws the same stream as randint(0, n)
+            deliveries.append((router_id, t + (latency + rng.randrange(jitter + 1))))
+        else:
+            deliveries.append((router_id, t + latency))
     return deliveries
 
 

@@ -59,7 +59,12 @@ def local_clock(state: RouterState, true_t: SimTime) -> SimTime:
         anchor = max(min(true_t - 1, sync_until), 0) // S * S
     """
     interval = state.sync_interval
-    anchor = max(min(true_t - 1, state.sync_until), 0) // interval * interval
+    anchor = true_t - 1
+    if anchor > state.sync_until:
+        anchor = state.sync_until
+    if anchor < 0:
+        anchor = 0
+    anchor = anchor // interval * interval
     drift = round(state.drift_ppm * (true_t - anchor) / 1_000_000)
     return true_t + state.sync_residual + drift
 

@@ -109,12 +109,6 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
     for descriptor in scenario.sensors:
         center.register_sensor(descriptor, scenario.sensor_locations[descriptor.sensor_id])
 
-    counters = {
-        "emitted": 0,
-        "delivered": 0,
-        "radio_lost": 0,
-        "dropped": 0,
-    }
     transport_rows: list[dict] = []
     spec = scenario.channel
     end_of_receipt = scenario.horizon + spec.latency + spec.jitter
@@ -123,14 +117,17 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
 
     coverage = scenario.coverage
     covering = coverage.covering  # sensor_id -> covering router ids
+    # Radio tallies, written into the counters once the run is over.
+    emitted = delivered = radio_lost = 0
 
     def emit(frame, t: SimTime) -> None:
+        nonlocal emitted, delivered, radio_lost
         sensor_id = frame.sensor_id
         attempts = len(covering.get(sensor_id, ()))
         deliveries = radio.broadcast(frame, sensor_id, t, coverage, channel)
-        counters["emitted"] += attempts
-        counters["delivered"] += len(deliveries)
-        counters["radio_lost"] += attempts - len(deliveries)
+        emitted += attempts
+        delivered += len(deliveries)
+        radio_lost += attempts - len(deliveries)
         data = radio.frame_bytes(frame)
         for router_id, at in deliveries:
             interval = flush_intervals[router_id]
@@ -171,11 +168,13 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
     for router_id, due in sorted(batches):
         ship(router_id, due)
 
-    counters["dropped"] = sum(s.dropped for s in router_states.values())
-    counters["accepted"] = center.counters["accepted"]
-    counters["deduped"] = center.counters["deduped"]
-    counters["quarantined"] = center.counters["quarantined"]
-    counters["malformed"] = center.counters["malformed"]
+    counters = {
+        "emitted": emitted,
+        "delivered": delivered,
+        "radio_lost": radio_lost,
+        "dropped": sum(s.dropped for s in router_states.values()),
+        **center.counters,  # accepted, deduped, quarantined, malformed
+    }
 
     result = RunResult(
         scenario=scenario,

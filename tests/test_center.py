@@ -1,10 +1,12 @@
 import random
+from bisect import bisect_left, bisect_right
 
 import pytest
 
 from asmisim import pi_protocol
 from asmisim.center import (
     _WIRE_KEY,
+    _Timeline,
     DuplicateRegistration,
     IngestOutcome,
     Liveness,
@@ -606,3 +608,77 @@ def test_ingest_matches_reference_on_hostile_and_duplicated_streams(seed):
     assert center.counters == reference.counters
     assert center.timeline_rows() == reference.timeline_rows()
     assert center.quarantined_records() == reference.quarantined_records() != []
+
+
+class _BisectingTimeline(_Timeline):
+    """_Timeline with place and move as they stood before place appended
+    in-order entries: every entry is bisected into place."""
+
+    def place(self, entry: TimelineEntry) -> None:
+        """Bisect on time, then step back over equal times with higher seq_no."""
+        t = entry.estimated_event_time
+        i = bisect_right(self.times, t)
+        while i and self.times[i - 1] == t and self.entries[i - 1].seq_no > entry.seq_no:
+            i -= 1
+        self.entries.insert(i, entry)
+        self.times.insert(i, t)
+
+    def move(self, entry: TimelineEntry, t) -> None:
+        """Re-place a placed entry whose time is lowered to t."""
+        i = bisect_left(self.times, entry.estimated_event_time)
+        while self.entries[i] is not entry:
+            i += 1
+        del self.entries[i], self.times[i]
+        entry.estimated_event_time = t
+        self.place(entry)
+
+
+def _timeline_ops(rng, count):
+    """Seeded place/move steps: mostly in order, with runs of equal times
+    and descending seq_nos, late entries, and moves that lower a time."""
+    ops, placed, t = [], {}, 0
+    seqs = rng.sample(range(1, 10 * count), count)
+    for seq in seqs:
+        roll = rng.random()
+        if roll < 0.4:
+            t += rng.randrange(1, 50)  # in order
+            at = t
+        elif roll < 0.7:
+            at = t  # equal to the latest time; seq_nos come in random order
+        elif placed:
+            at = rng.randrange(-20, t + 1)  # a late entry
+        else:
+            at = t
+        ops.append(("place", seq, at))
+        placed[seq] = at
+        if rng.random() < 0.25:
+            victim = rng.choice(sorted(placed))
+            lower = placed[victim] - rng.choice((1, rng.randrange(1, 200)))
+            ops.append(("move", victim, lower))
+            placed[victim] = lower
+    return ops
+
+
+def _replay(timeline, ops):
+    by_seq = {}
+    for op, seq, at in ops:
+        if op == "place":
+            by_seq[seq] = TimelineEntry(at, seq, MsgType.EVENT, seq, b"")
+            timeline.place(by_seq[seq])
+        else:
+            timeline.move(by_seq[seq], at)
+        assert timeline.times == [e.estimated_event_time for e in timeline.entries]
+    return [(e.estimated_event_time, e.seq_no) for e in timeline.entries]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_timeline_placement_matches_always_bisecting_reference(seed):
+    rng = random.Random(seed)
+    for count in (1, 2, 5, 40, 300):
+        ops = _timeline_ops(rng, count)
+        # descending seq_nos at one time, then one later and one equal again
+        ops += [("place", 10**6 + k, 10**5) for k in (5, 3, 4, 1)]
+        ops += [("place", 10**6 + 9, 10**5 + 1), ("place", 10**6 + 2, 10**5 + 1)]
+        expected = _replay(_BisectingTimeline(), ops)
+        assert _replay(_Timeline(), ops) == expected
+        assert expected == sorted(expected)

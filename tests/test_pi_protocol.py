@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import struct
 
@@ -130,14 +129,21 @@ def test_encode_rejects_out_of_range_fields():
 def test_encode_rejects_bad_version_and_type():
     with pytest.raises(InvalidHeader):
         encode(PiFrame(MsgType.EVENT, 1, 1, 0, version=2))
-    frame = PiFrame.__new__(PiFrame)
-    object.__setattr__(frame, "msg_type", 9)
-    object.__setattr__(frame, "sensor_id", 1)
-    object.__setattr__(frame, "seq_no", 1)
-    object.__setattr__(frame, "level_index", 0)
-    object.__setattr__(frame, "version", 1)
     with pytest.raises(InvalidHeader):
-        encode(frame)
+        encode(PiFrame(9, 1, 1, 0))
+
+
+def test_frame_is_an_immutable_tuple_in_field_order():
+    frame = PiFrame(MsgType.STATUS, 7, 8, -9)
+    with pytest.raises(AttributeError):
+        frame.seq_no = 9
+    msg_type, sensor_id, seq_no, level_index, version = frame
+    assert (msg_type, sensor_id, seq_no, level_index, version) == (MsgType.STATUS, 7, 8, -9, PI_VERSION)
+    assert frame == (MsgType.STATUS, 7, 8, -9, 1) == tuple(frame)
+    assert frame.version == 1
+    decoded = decode(encode(frame))
+    assert type(decoded) is PiFrame and decoded == frame
+    assert type(decoded.msg_type) is MsgType
 
 
 # The codec as it stood before decode checked the CRC by its residue and
@@ -259,7 +265,7 @@ HOSTILE_FIELD_VALUES = (None, "7", b"\x01", 1.5, 1.0, -1, 2**31, 2**32, float("n
 def test_encode_refuses_hostile_fields_with_invalid_header_only(field):
     good = PiFrame(MsgType.STATUS, 7, 8, -9)
     for value in HOSTILE_FIELD_VALUES:
-        frame = dataclasses.replace(good, **{field: value})
+        frame = good._replace(**{field: value})
         expected = _outcome(_reference_encode, frame)
         if isinstance(expected, bytes):
             assert encode(frame) == expected, value

@@ -1,3 +1,6 @@
+import random
+from dataclasses import dataclass, field
+
 import pytest
 
 from asmisim.pi_protocol import FRAME_LEN, MsgType, PiFrame
@@ -9,6 +12,7 @@ from asmisim.radio import (
     broadcast,
     frame_bytes,
 )
+from asmisim.rng import derive_rng
 
 
 def make_frame(seq_no=1, sensor_id=1):
@@ -96,3 +100,70 @@ def test_coverage_map_sorts_and_dedupes():
     coverage = CoverageMap.from_dict({4: [2, 2, 1]})
     assert coverage.routers_for(4) == (1, 2)
     assert coverage.routers_for(999) == ()
+
+
+# Channel.link_rng and broadcast as they stood before broadcast read the
+# link streams directly and drew jitter with randrange, kept verbatim as the
+# reference.
+@dataclass
+class _ReferenceChannel:
+    spec: ChannelSpec
+    seed: int = 0
+    _streams: dict = field(default_factory=dict, repr=False)
+
+    def link_rng(self, sensor_id: int, router_id: int):
+        key = (sensor_id, router_id)
+        rng = self._streams.get(key)
+        if rng is None:
+            rng = derive_rng(self.seed, "radio", sensor_id, router_id)
+            self._streams[key] = rng
+        return rng
+
+
+def _reference_broadcast(frame, sensor_id, t, coverage, channel):
+    routers = coverage.routers_for(sensor_id)
+    if not routers:
+        raise UncoveredSensor(f"sensor {sensor_id} has no covering router")
+    spec = channel.spec
+    deliveries = []
+    for router_id in routers:
+        rng = channel.link_rng(sensor_id, router_id)
+        if rng.random() < spec.loss_prob:
+            continue
+        delay = spec.latency
+        if spec.jitter:
+            delay += rng.randint(0, spec.jitter)
+        deliveries.append((router_id, t + delay))
+    return deliveries
+
+
+@pytest.mark.parametrize("loss_prob", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("jitter", [0, 1, 40])
+def test_broadcast_matches_reference_on_interleaved_links(loss_prob, jitter):
+    rng = random.Random(f"radio-oracle:{loss_prob}:{jitter}")
+    for case in range(6):
+        sensors = range(1, rng.randrange(2, 7))
+        # 1-4 covering routers per sensor; sensor 0 is heard by none.
+        coverage = CoverageMap.from_dict(
+            {sid: rng.sample(range(1, 6), rng.randrange(1, 5)) for sid in sensors}
+        )
+        spec = ChannelSpec(loss_prob=loss_prob, latency=rng.randrange(0, 100), jitter=jitter)
+        seed = rng.randrange(2**32)
+        channel, reference = Channel(spec, seed=seed), _ReferenceChannel(spec, seed=seed)
+        if case % 2:  # a stream made through link_rng before any broadcast
+            sid = rng.choice(sensors)
+            for chan in (channel, reference):
+                chan.link_rng(sid, coverage.routers_for(sid)[0])
+        t = 0
+        for seq in range(1, 301):
+            sid = rng.choice([0, *sensors]) if seq % 50 == 0 else rng.choice(sensors)
+            t += rng.randrange(0, 1000)
+            frame = make_frame(seq_no=seq, sensor_id=sid)
+            if sid == 0:
+                for chan, fn in ((channel, broadcast), (reference, _reference_broadcast)):
+                    with pytest.raises(UncoveredSensor):
+                        fn(frame, sid, t, coverage, chan)
+                continue
+            expected = _reference_broadcast(frame, sid, t, coverage, reference)
+            assert broadcast(frame, sid, t, coverage, channel) == expected, (case, seq)
+        assert channel._streams.keys() == reference._streams.keys()

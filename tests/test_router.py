@@ -159,7 +159,7 @@ def test_local_clock_matches_event_driven_syncs():
             sync_interval=interval,
             sync_until=horizon,
         )
-        receipts = {0, 1, horizon}
+        receipts = {0, 1, interval, interval + 1, horizon, horizon + 1}
         receipts.update(range(horizon + 1, horizon + epilogue + 1))
         last = horizon // interval
         for k in {1, 2, last, last + 1, *(rng.randrange(1, 300) for _ in range(5))}:
