@@ -47,12 +47,9 @@ class Channel:
     seed: int = 0
     _streams: dict[tuple[int, int], object] = field(default_factory=dict, repr=False)
 
-    def link_rng(self, sensor_id: int, router_id: int):
-        key = (sensor_id, router_id)
-        rng = self._streams.get(key)
-        if rng is None:
-            rng = derive_rng(self.seed, "radio", sensor_id, router_id)
-            self._streams[key] = rng
+    def new_link_rng(self, sensor_id: int, router_id: int):
+        """Make and keep the stream of a link not used before."""
+        rng = self._streams[(sensor_id, router_id)] = derive_rng(self.seed, "radio", sensor_id, router_id)
         return rng
 
 
@@ -77,7 +74,9 @@ def broadcast(
     streams = channel._streams
     deliveries: list[tuple[int, SimTime]] = []
     for router_id in routers:
-        rng = streams.get((sensor_id, router_id)) or channel.link_rng(sensor_id, router_id)
+        rng = streams.get((sensor_id, router_id))
+        if rng is None:
+            rng = channel.new_link_rng(sensor_id, router_id)
         if rng.random() < loss_prob:
             continue
         if jitter:

@@ -59,6 +59,7 @@ def local_clock(state: RouterState, true_t: SimTime) -> SimTime:
         anchor = max(min(true_t - 1, sync_until), 0) // S * S
     """
     interval = state.sync_interval
+    # Comparisons, not min/max: this runs once per delivery.
     anchor = true_t - 1
     if anchor > state.sync_until:
         anchor = state.sync_until

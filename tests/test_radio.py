@@ -150,10 +150,10 @@ def test_broadcast_matches_reference_on_interleaved_links(loss_prob, jitter):
         spec = ChannelSpec(loss_prob=loss_prob, latency=rng.randrange(0, 100), jitter=jitter)
         seed = rng.randrange(2**32)
         channel, reference = Channel(spec, seed=seed), _ReferenceChannel(spec, seed=seed)
-        if case % 2:  # a stream made through link_rng before any broadcast
+        if case % 2:  # a stream made before any broadcast
             sid = rng.choice(sensors)
-            for chan in (channel, reference):
-                chan.link_rng(sid, coverage.routers_for(sid)[0])
+            channel.new_link_rng(sid, coverage.routers_for(sid)[0])
+            reference.link_rng(sid, coverage.routers_for(sid)[0])
         t = 0
         for seq in range(1, 301):
             sid = rng.choice([0, *sensors]) if seq % 50 == 0 else rng.choice(sensors)
