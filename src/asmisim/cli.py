@@ -12,14 +12,15 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import runner, scenario
 from .signalgen import SignalError
 
 
-class MissingOutputs(Exception):
-    """report was pointed at a directory without run outputs."""
+class UnreadableOutputs(Exception):
+    """report was pointed at a directory without readable run outputs."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,6 +67,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.seed is not None and not 0 <= args.seed <= scenario.MAX_SEED:
+        print(f"error: --seed must be an integer in [0, 2**64-1], got {args.seed}", file=sys.stderr)
+        return 1
     sc = _load(args.config)
     if sc is None:
         return 1
@@ -89,61 +93,66 @@ def cmd_run(args) -> int:
     return 0
 
 
-def load_report_rows(out_dir: str | Path) -> tuple[list[dict], dict, dict[str, int]]:
-    """Read a run directory back: comparison rows, summary, timeline type counts."""
+def load_report_rows(out_dir: str | Path) -> tuple[list[tuple], dict, Counter]:
+    """Read a run directory back: comparison rows, summary, timeline type counts.
+
+    A comparison row is (sensor_id, pipeline, sup, mean, rmse, messages,
+    bytes), numbers parsed. A missing or damaged file raises UnreadableOutputs.
+    """
     out = Path(out_dir)
-    comparison = out / runner.COMPARISON_FILE
-    summary_file = out / runner.SUMMARY_FILE
-    timeline = out / runner.TIMELINE_FILE
+    comparison, summary_file, timeline = (
+        out / name for name in (runner.COMPARISON_FILE, runner.SUMMARY_FILE, runner.TIMELINE_FILE)
+    )
     if not (comparison.is_file() and summary_file.is_file() and timeline.is_file()):
-        raise MissingOutputs(f"no run outputs in {out}")
-    with comparison.open(newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    summary = json.loads(summary_file.read_text())
-    type_counts = {"EVENT": 0, "STATUS": 0}
-    with timeline.open(newline="") as fh:
-        for record in csv.DictReader(fh):
-            type_counts[record["msg_type"]] = type_counts.get(record["msg_type"], 0) + 1
+        raise UnreadableOutputs(f"no run outputs in {out}")
+    try:
+        path = comparison
+        with path.open(newline="") as fh:
+            rows = [
+                (r["sensor_id"], r["pipeline"], float(r["sup"]), float(r["mean"]), float(r["rmse"]),
+                 int(r["messages"]), int(r["bytes"]))
+                for r in csv.DictReader(fh)
+            ]
+        path = summary_file
+        summary = json.loads(path.read_text())
+        summary = {key: summary[key] for key in runner.RUN_SUMMARY_KEYS if key in summary}
+        path = timeline
+        with path.open(newline="") as fh:
+            type_counts = Counter(record["msg_type"] for record in csv.DictReader(fh))
+    except (OSError, KeyError, TypeError, ValueError, csv.Error) as exc:
+        raise UnreadableOutputs(f"damaged {path}: {type(exc).__name__}: {exc}") from exc
     return rows, summary, type_counts
 
 
 def cmd_report(args) -> int:
     try:
         rows, summary, type_counts = load_report_rows(args.out)
-    except MissingOutputs as exc:
+    except UnreadableOutputs as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     header = f"{'sensor':>8}  {'pipeline':<8} {'sup':>12} {'mean':>12} {'rmse':>12} {'messages':>9} {'bytes':>10}"
     print(header)
     print("-" * len(header))
     totals: dict[str, list[int]] = {}
-    for row in rows:
+    for sensor_id, pipeline, sup, mean, rmse, messages, nbytes in rows:
         print(
-            f"{row['sensor_id']:>8}  {row['pipeline']:<8}"
-            f" {float(row['sup']):>12.6g} {float(row['mean']):>12.6g} {float(row['rmse']):>12.6g}"
-            f" {row['messages']:>9} {row['bytes']:>10}"
+            f"{sensor_id:>8}  {pipeline:<8} {sup:>12.6g} {mean:>12.6g} {rmse:>12.6g}"
+            f" {messages:>9} {nbytes:>10}"
         )
-        agg = totals.setdefault(row["pipeline"], [0, 0])
-        agg[0] += int(row["messages"])
-        agg[1] += int(row["bytes"])
+        agg = totals.setdefault(pipeline, [0, 0])
+        agg[0] += messages
+        agg[1] += nbytes
     for pipeline in sorted(totals):
         messages, nbytes = totals[pipeline]
         print(f"total {pipeline}: {messages} message(s), {nbytes} byte(s)")
     print(f"ASMI events {type_counts['EVENT']}, status {type_counts['STATUS']}")
-    print(
-        "counters: "
-        + ", ".join(f"{key}={summary[key]}" for key in runner.RUN_SUMMARY_KEYS if key in summary)
-    )
+    print("counters: " + ", ".join(f"{key}={value}" for key, value in summary.items()))
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "validate":
-        return cmd_validate(args)
-    if args.command == "run":
-        return cmd_run(args)
-    return cmd_report(args)
+    return {"validate": cmd_validate, "run": cmd_run, "report": cmd_report}[args.command](args)
 
 
 if __name__ == "__main__":

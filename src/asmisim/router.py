@@ -1,14 +1,14 @@
 """Store-and-forward router with a drifting local clock.
 
-Routers are sensor-agnostic transport: they stamp each incoming frame with
-their local receipt time, buffer it, and hand the whole buffer over at a
-flush. A router flushes at multiples of its flush interval, and only when
-it has heard something since the last one: the runner hands it each
-batch's receipts at the batch's flush instant, so no flush is empty. Frame
-bytes are never decoded beyond a length check, so the transport is
-byte-identical whatever parameter the frames describe. The router-to-center
-backhaul is modeled reliable and ordered; unreliability in this system
-lives on the sensor-to-router radio leg.
+Routers are sensor-agnostic transport. `receive` files each frame under
+its flush instant, the first positive multiple of the flush interval at or
+after its true receipt time, so a batch exists only once a frame was heard
+for it and no flush is empty. `flush` hands one batch over in true receipt
+order (ties keep the order heard), each frame stamped with the local clock
+at its receipt. Frame bytes are never decoded beyond a length check, so the
+transport is byte-identical whatever parameter the frames describe. The
+router-to-center backhaul is modeled reliable and ordered; unreliability in
+this system lives on the sensor-to-router radio leg.
 
 The center syncs every router at each multiple of the sync interval up to
 the horizon, so a stamp is a function of true time (`local_clock`): true
@@ -18,6 +18,7 @@ time + sync residual + the drift since the last sync strictly before it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .pi_protocol import FRAME_LEN
@@ -42,7 +43,8 @@ class RouterState:
     # by default synced at 0 and never again.
     sync_interval: SimTime = 3_600_000
     sync_until: SimTime = 0
-    buffer: list[ForwardedRecord] = field(default_factory=list)
+    # flush instant -> [(true receipt time, frame bytes), ...] as heard
+    pending: dict[SimTime, list[tuple[SimTime, bytes]]] = field(default_factory=dict)
     dropped: int = 0
 
 
@@ -70,21 +72,30 @@ def local_clock(state: RouterState, true_t: SimTime) -> SimTime:
     return true_t + state.sync_residual + drift
 
 
-def receive(state: RouterState, data: bytes, true_t: SimTime) -> None:
-    """Stamp and buffer one incoming transmission.
+def receive(state: RouterState, data: bytes, true_t: SimTime) -> SimTime | None:
+    """File one incoming transmission under its flush instant.
 
+    Returns the flush instant when this receipt opened its batch, else None.
     Anything that is not exactly one frame long is counted and dropped;
     transport never crashes on garbage.
     """
     if len(data) != FRAME_LEN:
         state.dropped += 1
-        return
-    state.buffer.append(ForwardedRecord(state.router_id, bytes(data), local_clock(state, true_t)))
+        return None
+    interval = state.flush_interval
+    due = max(1, -(-true_t // interval)) * interval
+    record = (true_t, bytes(data))
+    batch = state.pending.get(due)
+    if batch is None:
+        state.pending[due] = [record]
+        return due
+    batch.append(record)
+    return None
 
 
-def flush(state: RouterState) -> list[ForwardedRecord]:
-    """Hand over and clear the whole buffer, preserving arrival order."""
-    batch = state.buffer
-    state.buffer = []
-    return batch
-
+def flush(state: RouterState, due: SimTime) -> list[ForwardedRecord]:
+    """Hand over the batch filed under `due`, stamped and in receipt order."""
+    batch = state.pending.pop(due)
+    batch.sort(key=itemgetter(0))  # stable: equal receipt times keep the order heard
+    router_id = state.router_id
+    return [ForwardedRecord(router_id, data, local_clock(state, at)) for at, data in batch]

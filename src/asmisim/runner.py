@@ -6,17 +6,16 @@ One run = one kernel. The wiring follows the system's one-way data flow:
 
 Nothing upstream reads a router or the center, and a router's stamp is a
 function of true time, so a delivery needs no event of its own. `emit`
-files it in its router's batch for the first flush instant at or after the
-receipt, a positive multiple of the router's flush interval, and the first
-delivery into a batch schedules the one event that ships it. Sensors rank
-before routers, so a receipt exactly on a flush instant makes that flush.
-Batches ship in (flush instant, router id) order, the order of
-transport.jsonl and of center ingest; the backhaul is reliable and ordered,
-so its delay moves no output. The kernel runs to the last possible receipt,
-horizon + latency + jitter, and then each router's batch due after it ships
-at once, in router-id order. Nothing is ever in flight when the books are
-closed: emitted = delivered + radio-lost and delivered = dropped + accepted
-+ deduped + quarantined + malformed hold exactly, not approximately.
+hands each delivery to its router (`router.receive`), and a receipt that
+opens a batch schedules the one event that ships it at its flush instant.
+Sensors rank before routers, so a receipt exactly on a flush instant makes
+that flush. Batches ship in (flush instant, router id) order, the order of
+transport.jsonl and of center ingest. The kernel runs to the last possible
+receipt, horizon + latency + jitter, and then each router's batch due
+after it ships at once, in router-id order. Nothing is ever in flight when
+the books are closed: emitted = delivered + radio-lost and delivered =
+dropped + accepted + deduped + quarantined + malformed hold exactly, not
+approximately.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from operator import itemgetter
 from pathlib import Path
 
 from . import baseline as ami
@@ -94,9 +92,7 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
 
     center = MonitoringCenter(nominal_latency=scenario.channel.latency)
     router_states: dict[int, router.RouterState] = {}
-    flush_intervals: dict[int, SimTime] = {}
     for rdef in scenario.routers:
-        flush_intervals[rdef.router_id] = rdef.flush_interval
         router_states[rdef.router_id] = router.RouterState(
             router_id=rdef.router_id,
             drift_ppm=rdef.drift_ppm,
@@ -112,8 +108,7 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
     transport_rows: list[dict] = []
     spec = scenario.channel
     end_of_receipt = scenario.horizon + spec.latency + spec.jitter
-    # (router id, flush instant) -> [(receipt time, frame bytes), ...] in emit order
-    batches: dict[tuple[int, SimTime], list[tuple[SimTime, bytes]]] = {}
+    receive, flush = router.receive, router.flush
 
     coverage = scenario.coverage
     covering = coverage.covering  # sensor_id -> covering router ids
@@ -130,30 +125,16 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
         radio_lost += attempts - len(deliveries)
         data = radio.frame_bytes(frame)
         for router_id, at in deliveries:
-            interval = flush_intervals[router_id]
-            due = max(1, -(-at // interval)) * interval
-            batch = batches.get((router_id, due))
-            if batch is None:
-                batch = batches[router_id, due] = []
-                if due <= end_of_receipt:
-                    kernel.schedule(due, (RANK_ROUTER, router_id, due), ship, router_id, due)
-            batch.append((at, data))
+            state = router_states[router_id]
+            due = receive(state, data, at)
+            if due is not None and due <= end_of_receipt:
+                kernel.schedule(due, (RANK_ROUTER, router_id, due), ship, state, due)
 
-    def ship(router_id: int, due: SimTime) -> None:
-        """One router flush: buffer the batch in arrival order, then forward it."""
-        state = router_states[router_id]
-        records = batches.pop((router_id, due))
-        records.sort(key=itemgetter(0))  # stable: equal receipt times keep emit order
-        for at, data in records:
-            router.receive(state, data, at)
-        for rec in router.flush(state):
-            transport_rows.append(
-                {
-                    "router_id": rec.router_id,
-                    "local_receipt_time_ms": rec.local_receipt_time,
-                    "frame_hex": rec.frame_bytes.hex(),
-                }
-            )
+    def ship(state: router.RouterState, due: SimTime) -> None:
+        """One router flush, forwarded to the center."""
+        for rec in flush(state, due):
+            router_id, data, local = rec
+            transport_rows.append({"router_id": router_id, "local_receipt_time_ms": local, "frame_hex": data.hex()})
             center.ingest(rec)
 
     sensor_states: dict[int, SensorState] = {}
@@ -165,8 +146,9 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
     kernel.run_until(end_of_receipt)
 
     # Final drain: each router's last batch, due after the last receipt.
-    for router_id, due in sorted(batches):
-        ship(router_id, due)
+    for _router_id, state in sorted(router_states.items()):
+        for due in sorted(state.pending):
+            ship(state, due)
 
     counters = {
         "emitted": emitted,

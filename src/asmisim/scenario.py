@@ -32,7 +32,6 @@ from .simkernel import MAX_SIMTIME
 DEFAULT_LATENCY = 50
 DEFAULT_FLUSH_INTERVAL = 60_000
 DEFAULT_SYNC_INTERVAL = 3_600_000
-DEFAULT_BACKHAUL_DELAY = 500
 DEFAULT_ERROR_GRID = 60_000
 
 MAX_SEED = 2**64 - 1
@@ -86,7 +85,6 @@ class Scenario:
     coverage: CoverageMap
     channel: ChannelSpec
     sync_interval: int = DEFAULT_SYNC_INTERVAL
-    backhaul_delay: int = DEFAULT_BACKHAUL_DELAY
     baseline: BaselineDef = field(default_factory=BaselineDef)
     error_grid: int = DEFAULT_ERROR_GRID
     outputs: str = "out"
@@ -311,7 +309,6 @@ def validate(doc: dict) -> Scenario:
     latency = _int(errors, channel_raw, "channel", "latency", DEFAULT_LATENCY, NON_NEGATIVE_MS)
     jitter = _int(errors, channel_raw, "channel", "jitter", 0, NON_NEGATIVE_MS)
     sync_interval = _int(errors, doc, "", "sync_interval", DEFAULT_SYNC_INTERVAL, POSITIVE_MS, lo=1)
-    backhaul_delay = _int(errors, doc, "", "backhaul_delay", DEFAULT_BACKHAUL_DELAY, NON_NEGATIVE_MS)
     error_grid = _int(errors, doc, "", "error_grid", DEFAULT_ERROR_GRID, POSITIVE_MS, lo=1)
 
     baseline_raw = _object(errors, doc, "baseline")
@@ -325,12 +322,10 @@ def validate(doc: dict) -> Scenario:
     outputs = _text(errors, doc, "", "outputs", "out", "must be a non-empty string (directory path)")
 
     # Every kernel time must stay inside MAX_SIMTIME; the last is the last
-    # receipt, at horizon + latency + jitter. backhaul_delay moves no output
-    # but stays in the sum, so the limit a scenario meets is unchanged.
-    times = (horizon, latency, jitter, backhaul_delay)
+    # receipt, at horizon + latency + jitter.
+    times = (horizon, latency, jitter)
     if None not in times and sum(times) > MAX_SIMTIME:
-        message = "plus channel.latency, channel.jitter and backhaul_delay must be at most 2**64-1"
-        errors.append(("horizon", message))
+        errors.append(("horizon", "plus channel.latency and channel.jitter must be at most 2**64-1"))
 
     if errors:
         raise ScenarioValidationError(errors)
@@ -346,7 +341,6 @@ def validate(doc: dict) -> Scenario:
         coverage=CoverageMap.from_dict(covering),
         channel=ChannelSpec(loss_prob=loss_prob, latency=latency, jitter=jitter),
         sync_interval=sync_interval,
-        backhaul_delay=backhaul_delay,
         baseline=BaselineDef(enabled=enabled, dt=dt),
         error_grid=error_grid,
         outputs=outputs,

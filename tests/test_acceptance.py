@@ -55,7 +55,6 @@ def build_scenario(
     baseline=None,
     error_grid=60_000,
     sync_interval=3_600_000,
-    backhaul_delay=500,
 ):
     routers = routers or [RouterDef(router_id=1)]
     coverage = coverage or {d.sensor_id: tuple(r.router_id for r in routers) for d in sensors}
@@ -70,7 +69,6 @@ def build_scenario(
         coverage=CoverageMap.from_dict(coverage),
         channel=channel or ChannelSpec(loss_prob=0.0, latency=50, jitter=0),
         sync_interval=sync_interval,
-        backhaul_delay=backhaul_delay,
         baseline=baseline or BaselineDef(enabled=False),
         error_grid=error_grid,
     )

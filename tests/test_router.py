@@ -1,11 +1,12 @@
 import random
 from collections import Counter
+from dataclasses import dataclass, field
 
 from asmisim import radio, runner, scenario
 from asmisim.center import MonitoringCenter
-from asmisim.pi_protocol import MsgType, PiFrame, encode
-from asmisim.router import RouterState, flush, local_clock, receive
-from asmisim.simkernel import RANK_ROUTER, RANK_SENSOR, Kernel
+from asmisim.pi_protocol import FRAME_LEN, MsgType, PiFrame, encode
+from asmisim.router import ForwardedRecord, RouterState, flush, local_clock, receive
+from asmisim.simkernel import MAX_SIMTIME, RANK_ROUTER, RANK_SENSOR, Kernel
 
 DAY = 86_400_000
 
@@ -41,44 +42,78 @@ def test_local_clock_unsynced_day_drift():
 
 def test_receive_buffers_with_local_stamp():
     state = RouterState(router_id=7, sync_residual=3)
-    receive(state, wire(), 1_000)
-    assert len(state.buffer) == 1
-    rec = state.buffer[0]
-    assert rec.router_id == 7
-    assert rec.local_receipt_time == 1_003
-    assert rec.frame_bytes == wire()
+    assert receive(state, wire(), 1_000) == 60_000
+    assert state.pending == {60_000: [(1_000, wire())]}
+    assert flush(state, 60_000) == [ForwardedRecord(7, wire(), 1_003)]
 
 
 def test_receive_drops_wrong_length():
     state = RouterState(router_id=1)
-    receive(state, b"garbage", 0)
-    assert state.buffer == []
+    assert receive(state, b"garbage", 0) is None
+    assert state.pending == {}
     assert state.dropped == 1
-    receive(state, wire() + b"x", 1)
+    assert receive(state, wire() + b"x", 1) is None
     assert state.dropped == 2
-    receive(state, wire(), 2)
-    assert len(state.buffer) == 1
+    assert receive(state, wire(), 2) == 60_000
+    assert state.pending == {60_000: [(2, wire())]}
 
 
 def test_receive_preserves_arrival_order_at_same_instant():
     state = RouterState(router_id=1)
-    receive(state, wire(1), 50)
-    receive(state, wire(2), 50)
-    assert [r.frame_bytes for r in state.buffer] == [wire(1), wire(2)]
+    assert receive(state, wire(1), 50) == 60_000
+    assert receive(state, wire(2), 50) is None  # joins the batch the first opened
+    assert [r.frame_bytes for r in flush(state, 60_000)] == [wire(1), wire(2)]
 
 
 def test_flush_returns_and_clears():
-    state = RouterState(router_id=1)
-    assert flush(state) == []
-    for i in range(5):
-        receive(state, wire(i + 1), i)
-    batch = flush(state)
-    assert len(batch) == 5
-    assert [r.frame_bytes for r in batch] == [wire(i + 1) for i in range(5)]
-    assert state.buffer == []
+    state = RouterState(router_id=1, flush_interval=100)
+    opened = [receive(state, wire(i + 1), t) for i, t in enumerate((40, 10, 90, 10, 1))]
+    assert opened == [100, None, None, None, None]
+    batch = flush(state, 100)
+    # true receipt order; the two receipts at 10 keep the order they were heard in
+    assert [r.frame_bytes for r in batch] == [wire(5), wire(2), wire(4), wire(1), wire(3)]
+    assert [r.local_receipt_time for r in batch] == [1, 10, 10, 40, 90]
+    assert state.pending == {}
     # records arriving after a flush appear only in the next batch
-    receive(state, wire(6), 200)
-    assert [r.frame_bytes for r in flush(state)] == [wire(6)]
+    assert receive(state, wire(6), 200) == 200
+    assert [r.frame_bytes for r in flush(state, 200)] == [wire(6)]
+    assert state.pending == {}
+
+
+def test_receipt_at_zero_files_under_the_first_flush():
+    for interval in (1, 250, DAY):
+        state = RouterState(router_id=1, flush_interval=interval)
+        assert receive(state, wire(), 0) == interval
+        assert list(state.pending) == [interval]
+
+
+def test_receipt_on_a_flush_instant_files_under_that_instant():
+    for interval, k in ((1, 1), (1, 7), (250, 1), (250, 2), (250, 9), (1, MAX_SIMTIME - 1)):
+        state = RouterState(router_id=1, flush_interval=interval)
+        assert receive(state, wire(1), k * interval) == k * interval
+        assert receive(state, wire(2), k * interval + 1) == (k + 1) * interval
+        if interval > 1:
+            assert receive(state, wire(3), k * interval - 1) is None  # joins k * interval
+        assert len(state.pending[k * interval]) == 1 + (interval > 1)
+
+
+def test_flushing_one_pending_batch_leaves_the_other():
+    state = RouterState(router_id=4, flush_interval=1_000)
+    assert receive(state, wire(1), 1_500) == 2_000
+    assert receive(state, wire(2), 500) == 1_000
+    assert receive(state, wire(3), 1_999) is None
+    assert [r.frame_bytes for r in flush(state, 2_000)] == [wire(1), wire(3)]
+    assert state.pending == {1_000: [(500, wire(2))]}
+    assert [r.frame_bytes for r in flush(state, 1_000)] == [wire(2)]
+    assert state.pending == {}
+
+
+def test_stamp_is_the_local_clock_at_receipt_not_at_flush():
+    state = RouterState(router_id=1, drift_ppm=100.0, sync_residual=5, flush_interval=DAY)
+    assert receive(state, wire(), 10_000_000) == DAY
+    [rec] = flush(state, DAY)
+    assert rec.local_receipt_time == local_clock(state, 10_000_000) == 10_001_005
+    assert local_clock(state, DAY) != rec.local_receipt_time
 
 
 def test_sync_resets_drift_anchor():
@@ -171,23 +206,50 @@ def test_local_clock_matches_event_driven_syncs():
 
 
 def test_transparency_forwarded_bytes_equal_received_bytes():
-    state = RouterState(router_id=1)
+    state = RouterState(router_id=1, flush_interval=100)
     frames = [wire(i + 1) for i in range(10)]
     for i, data in enumerate(frames):
         receive(state, data, i * 10)
     shipped = []
-    shipped.extend(flush(state))
+    shipped.extend(flush(state, 100))
     for i, data in enumerate(frames):
-        receive(state, data, 100 + i)
-    shipped.extend(flush(state))
+        receive(state, data, 110 + i)
+    shipped.extend(flush(state, 200))
     assert [r.frame_bytes for r in shipped] == frames + frames
 
 
-def event_driven_transport(sc, deliveries):
+# The router as it was before it batched by flush instant: a FIFO buffer
+# that stamps on receipt and hands everything over at each flush. The
+# event-driven reference below runs on it.
+@dataclass
+class FifoRouterState(RouterState):
+    buffer: list[ForwardedRecord] = field(default_factory=list)
+
+
+def fifo_receive(state: FifoRouterState, data: bytes, true_t: int) -> None:
+    """Stamp and buffer one incoming transmission.
+
+    Anything that is not exactly one frame long is counted and dropped;
+    transport never crashes on garbage.
+    """
+    if len(data) != FRAME_LEN:
+        state.dropped += 1
+        return
+    state.buffer.append(ForwardedRecord(state.router_id, bytes(data), local_clock(state, true_t)))
+
+
+def fifo_flush(state: FifoRouterState) -> list[ForwardedRecord]:
+    """Hand over and clear the whole buffer, preserving arrival order."""
+    batch = state.buffer
+    state.buffer = []
+    return batch
+
+
+def event_driven_transport(sc, deliveries, backhaul_delay):
     """Reference transport leg, with every receipt, flush and ingest an event.
 
     `deliveries` are (router id, receipt time, frame bytes) in emit order.
-    Each receipt is a kernel event keyed by its emit order. Each router
+    Each receipt is a kernel event keyed by its emit order. Each FIFO router
     flushes at every multiple of its flush interval up to the last possible
     receipt; a non-empty batch is logged at once and ingested backhaul_delay
     later as a center event. What is still buffered after that is drained
@@ -198,7 +260,7 @@ def event_driven_transport(sc, deliveries):
     center = MonitoringCenter(nominal_latency=sc.channel.latency)
     states = {}
     for rdef in sc.routers:
-        states[rdef.router_id] = RouterState(
+        states[rdef.router_id] = FifoRouterState(
             rdef.router_id, rdef.drift_ppm, rdef.flush_interval, rdef.sync_residual, sc.sync_interval, sc.horizon
         )
         center.register_router(rdef.router_id, rdef.location, rdef.sync_residual)
@@ -218,10 +280,10 @@ def event_driven_transport(sc, deliveries):
             center.ingest(rec)
 
     def flush_tick(state, at):
-        batch = flush(state)
+        batch = fifo_flush(state)
         if batch:
             log(batch)
-            kernel.schedule(at + sc.backhaul_delay, (RANK_CENTER, state.router_id, at), ingest, batch)
+            kernel.schedule(at + backhaul_delay, (RANK_CENTER, state.router_id, at), ingest, batch)
         nxt = at + state.flush_interval
         if nxt <= end_of_receipt:
             kernel.schedule(nxt, (RANK_ROUTER, state.router_id, nxt), flush_tick, state, nxt)
@@ -231,17 +293,18 @@ def event_driven_transport(sc, deliveries):
             first = state.flush_interval
             kernel.schedule(first, (RANK_ROUTER, state.router_id, first), flush_tick, state, first)
     for seq, (router_id, at, data) in enumerate(deliveries):
-        kernel.schedule(at, (RANK_RECEIPT, router_id, seq), receive, states[router_id], data, at)
-    kernel.run_until(end_of_receipt + sc.backhaul_delay)
+        kernel.schedule(at, (RANK_RECEIPT, router_id, seq), fifo_receive, states[router_id], data, at)
+    kernel.run_until(end_of_receipt + backhaul_delay)
     for router_id in sorted(states):
-        batch = flush(states[router_id])
+        batch = fifo_flush(states[router_id])
         log(batch)
         ingest(batch)
     return rows, center, sum(state.dropped for state in states.values())
 
 
 def _transport_scenario(rng, case):
-    """A small seeded run whose receipts fall on the transport's edges."""
+    """A small seeded run whose receipts fall on the transport's edges, and
+    a backhaul delay for the reference transport to run it with."""
     horizon = rng.randrange(1_000, 8_000)
     latency = 0 if case % 3 == 0 else rng.randrange(0, 40)
     jitter = rng.choice((0, rng.randrange(1, 15), rng.randrange(1, 15)))
@@ -257,7 +320,7 @@ def _transport_scenario(rng, case):
     # statuses on flush multiples
     status = rng.choice([r["flush_interval"] for r in routers if 100 <= r["flush_interval"] <= horizon] or [999])
     ids = [r["id"] for r in routers]
-    return scenario.validate({
+    sc = scenario.validate({
         "seed": rng.randrange(2**32),
         "horizon": horizon,
         "signals": [
@@ -276,15 +339,15 @@ def _transport_scenario(rng, case):
         "coverage": {str(sensor_id): rng.sample(ids, rng.randrange(1, len(ids) + 1)) for sensor_id in (1, 2, 3)},
         "channel": {"loss_prob": rng.choice((0.0, 0.2)), "latency": latency, "jitter": jitter},
         "sync_interval": rng.randrange(1, 5_000),
-        "backhaul_delay": rng.randrange(0, 1_000),
     })
+    return sc, rng.randrange(0, 1_000)
 
 
 def test_shipping_on_demand_matches_event_driven_transport(monkeypatch):
     seen = Counter()
     original = radio.broadcast
     for case in range(40):
-        sc = _transport_scenario(random.Random(case), case)
+        sc, backhaul_delay = _transport_scenario(random.Random(case), case)
         deliveries, emitted_at = [], []
 
         def recording(frame, sensor_id, t, coverage, channel):
@@ -295,7 +358,7 @@ def test_shipping_on_demand_matches_event_driven_transport(monkeypatch):
 
         monkeypatch.setattr(radio, "broadcast", recording)
         result = runner.run_scenario(sc)
-        rows, center, dropped = event_driven_transport(sc, deliveries)
+        rows, center, dropped = event_driven_transport(sc, deliveries, backhaul_delay)
         assert result.transport_rows == rows, case
         assert result.center.timeline_rows() == center.timeline_rows(), case
         assert result.center.counters == center.counters, case
@@ -320,3 +383,51 @@ def test_shipping_on_demand_matches_event_driven_transport(monkeypatch):
         "receipt at 0", "receipt on a flush multiple", "same-ms receipts emitted apart", "F = 1",
         "1 < F dividing the end of receipts", "F past the end of receipts", "drain records on two routers",
     )), seen
+
+
+def corrected_time_errors(sc, monkeypatch):
+    """Run sc; return (router id, corrected time - true emission time) for
+    every transported record, the truth taken from radio.broadcast."""
+    original = radio.broadcast
+    emitted_at = {}
+
+    def recording(frame, sensor_id, t, coverage, channel):
+        emitted_at[encode(frame)] = t  # a frame's bytes are unique: (sensor id, seq_no)
+        return original(frame, sensor_id, t, coverage, channel)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(radio, "broadcast", recording)
+        result = runner.run_scenario(sc)
+    residual = {r.router_id: r.sync_residual for r in sc.routers}
+    return [
+        (
+            row["router_id"],
+            row["local_receipt_time_ms"] - residual[row["router_id"]] - sc.channel.latency
+            - emitted_at[bytes.fromhex(row["frame_hex"])],
+        )
+        for row in result.transport_rows
+    ]
+
+
+def outside_time_error_bound(sc, errors):
+    """The (router id, error) pairs outside [-D_r, D_r + J].
+
+    The center subtracts the residual and the nominal latency, so what stays
+    is the jitter, in [0, J], plus the drift since the router's last sync.
+    That sync is at most S before a receipt up to the horizon, and at most
+    S + L + J before one in the receipt epilogue after it, so the drift is
+    at most D_r = round(|drift_ppm_r| * (S + L + J) / 1e6) either way.
+    """
+    span = sc.sync_interval + sc.channel.latency + sc.channel.jitter
+    bound = {r.router_id: round(abs(r.drift_ppm) * span / 1_000_000) for r in sc.routers}
+    return [(rid, e) for rid, e in errors if not -bound[rid] <= e <= bound[rid] + sc.channel.jitter]
+
+
+def test_corrected_times_stay_within_the_drift_and_jitter_bound(monkeypatch):
+    checked = 0
+    for case in range(40):
+        sc, _backhaul_delay = _transport_scenario(random.Random(case), case)
+        errors = corrected_time_errors(sc, monkeypatch)
+        assert not outside_time_error_bound(sc, errors), case
+        checked += len(errors)
+    assert checked > 1_000

@@ -17,6 +17,8 @@ from asmisim.sensor import SensorDescriptor, SensorMode
 from asmisim.signalgen import LevelOutOfRange, SignalError, value_at
 from asmisim.simkernel import MAX_SIMTIME
 
+from test_router import corrected_time_errors, outside_time_error_bound
+
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
@@ -59,8 +61,14 @@ def test_minimal_config_validates():
     assert len(sc.sensors) == 1
     assert sc.coverage.routers_for(1) == (1,)
     assert sc.sync_interval == 3_600_000  # default
-    assert sc.backhaul_delay == 500  # default
     assert sc.routers[0].flush_interval == 60_000  # default
+
+
+def test_backhaul_delay_is_ignored_like_any_unknown_key():
+    # The backhaul is reliable and ordered, so its delay moved no output and
+    # is no longer read; configs that still carry it validate unchanged.
+    for value in (500, -1, "x"):
+        assert scenario.validate(minimal_config(backhaul_delay=value)) == scenario.validate(minimal_config())
 
 
 def test_unknown_router_in_coverage():
@@ -176,7 +184,6 @@ WRONG_TYPES_DOC = {
     "coverage": {"x": [2], "2": "2", "3": [True, "2", 2]},
     "channel": {"loss_prob": "0", "latency": 1.5, "jitter": None},
     "sync_interval": [],
-    "backhaul_delay": "500",
     "error_grid": False,
     "baseline": {"enabled": 1, "dt": "60000"},
     "outputs": None,
@@ -229,7 +236,6 @@ OUT_OF_RANGE_DOC = {
     "coverage": {"9": [1], "4": [], "5": [1, 3, -1]},
     "channel": {"loss_prob": 1.5, "latency": -1, "jitter": -1},
     "sync_interval": 0,
-    "backhaul_delay": -1,
     "error_grid": 0,
     "baseline": {"enabled": False, "dt": 0},
     "outputs": "",
@@ -277,7 +283,6 @@ WRONG_TYPES_ERRORS = [
     ("channel.latency", "must be a non-negative integer (milliseconds)"),
     ("channel.jitter", "must be a non-negative integer (milliseconds)"),
     ("sync_interval", "must be a positive integer (milliseconds)"),
-    ("backhaul_delay", "must be a non-negative integer (milliseconds)"),
     ("error_grid", "must be a positive integer (milliseconds)"),
     ("baseline.enabled", "must be a boolean"),
     ("baseline.dt", "must be a positive integer (milliseconds) or 'matched'"),
@@ -322,7 +327,6 @@ OUT_OF_RANGE_ERRORS = [
     ("channel.latency", "must be a non-negative integer (milliseconds)"),
     ("channel.jitter", "must be a non-negative integer (milliseconds)"),
     ("sync_interval", "must be a positive integer (milliseconds)"),
-    ("backhaul_delay", "must be a non-negative integer (milliseconds)"),
     ("error_grid", "must be a positive integer (milliseconds)"),
     ("baseline.dt", "must be a positive integer (milliseconds) or 'matched'"),
     ("outputs", "must be a non-empty string (directory path)"),
@@ -401,7 +405,6 @@ TIME_FIELDS = (
     ("channel", "latency"),
     ("channel", "jitter"),
     ("sync_interval",),
-    ("backhaul_delay",),
     ("baseline", "dt"),
 )
 NUMBER_FIELDS = (
@@ -413,13 +416,12 @@ NUMBER_FIELDS = (
 )
 # Finite, but past the +-1e6 ppm bound on a clock's drift.
 DRIFT_OUT_OF_RANGE = (1.7e308, 1e6 + 1, -(1e6 + 1))
-# burst_day.json runs to horizon + latency + jitter + backhaul_delay =
-# 86_400_000 + 50 + 0 + 500; each of these pushes that sum past MAX_SIMTIME.
+# burst_day.json runs to horizon + latency + jitter = 86_400_000 + 50 + 0;
+# each of these pushes that sum past MAX_SIMTIME.
 END_OF_RUN_OVERFLOWS = (
     (("horizon",), MAX_SIMTIME),
     (("channel", "latency"), 2**64 - 10),
-    (("channel", "jitter"), MAX_SIMTIME - 86_400_550 + 1),
-    (("backhaul_delay",), MAX_SIMTIME - 86_400_050 + 1),
+    (("channel", "jitter"), MAX_SIMTIME - 86_400_050 + 1),
 )
 OUT_OF_RANGE_CASES = (
     [(path, value, path) for path in TIME_FIELDS for value in (2**64, 2**70, HUGE_INT)]
@@ -487,8 +489,8 @@ def test_levels_beyond_the_wire_range_raise_level_out_of_range(path, value):
 
 def test_end_of_run_at_max_simtime_validates():
     doc = json.loads((SCENARIO_DIR / "burst_day.json").read_text())
-    doc["backhaul_delay"] = MAX_SIMTIME - 86_400_050
-    assert scenario.validate(doc).backhaul_delay == MAX_SIMTIME - 86_400_050
+    doc["channel"]["jitter"] = MAX_SIMTIME - 86_400_050
+    assert scenario.validate(doc).channel.jitter == MAX_SIMTIME - 86_400_050
 
 
 def _recording_flushes(monkeypatch, limit=None):
@@ -496,8 +498,8 @@ def _recording_flushes(monkeypatch, limit=None):
     sizes = []
     original = router.flush
 
-    def recording(state):
-        batch = original(state)
+    def recording(state, due):
+        batch = original(state, due)
         sizes.append(len(batch))
         assert limit is None or len(sizes) <= limit, "flushes follow the clock, not the traffic"
         return batch
@@ -518,7 +520,6 @@ def test_every_router_flush_ships_a_record(monkeypatch):
 def test_run_whose_last_receipt_is_at_max_simtime_ships_every_record(monkeypatch):
     doc = json.loads((SCENARIO_DIR / "quiet_day.json").read_text())
     doc["channel"]["latency"] = MAX_SIMTIME - doc["horizon"]  # the status at the horizon lands on 2**64-1
-    doc["backhaul_delay"] = 0
     doc["routers"].append({"id": 2, "flush_interval": 1})  # its last batch ships at 2**64-1
     doc["coverage"] = {"1": [1, 2], "2": [1, 2]}
     sizes = _recording_flushes(monkeypatch, limit=100)
@@ -816,6 +817,13 @@ def test_outputs_match_golden_digests(name, tmp_path):
     assert digests == GOLDEN_OUTPUT_DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUT_DIGESTS))
+def test_golden_corrected_times_stay_within_the_drift_and_jitter_bound(name, monkeypatch):
+    sc = _golden_variant(name)
+    errors = corrected_time_errors(sc, monkeypatch)
+    assert errors and not outside_time_error_bound(sc, errors)
+
+
 # sha256 of repr() of the answers to _series_windows on two golden runs,
 # recorded while series() still called reconstruct() once per grid point.
 GOLDEN_SERIES_DIGESTS = {
@@ -1039,6 +1047,26 @@ def test_cli_report_missing_outputs(tmp_path, capsys):
     assert "no run outputs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, damage, message",
+    [
+        ("comparison.csv", lambda text: text.replace(",sup,", ",sip,", 1), "KeyError: 'sup'"),
+        ("run_summary.json", lambda text: "{not json", "JSONDecodeError"),
+    ],
+    ids=["renamed_sup_header", "summary_not_json"],
+)
+def test_cli_report_damaged_outputs(name, damage, message, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--config", str(SCENARIO_DIR / "quiet_day.json"), "--out", str(out_dir)]) == 0
+    path = out_dir / name
+    path.write_text(damage(path.read_text()))
+    capsys.readouterr()
+    assert cli.main(["report", "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: damaged {path}: ") and message in captured.err
+
+
 def test_cli_run_seed_override(tmp_path, capsys):
     out_dir = tmp_path / "seeded"
     code = cli.main(
@@ -1054,6 +1082,19 @@ def test_cli_run_seed_override(tmp_path, capsys):
     )
     assert code == 0
     assert "seed 99" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed, code", [(-1, 1), (2**64, 1), (2**64 - 1, 0)], ids=["-1", "2**64", "2**64-1"])
+def test_cli_run_seed_must_be_an_unsigned_64_bit_integer(seed, code, tmp_path, capsys):
+    out_dir = tmp_path / "seeded"
+    argv = ["run", "--config", str(SCENARIO_DIR / "quiet_day.json"), "--out", str(out_dir), "--seed", str(seed)]
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err == f"error: --seed must be an integer in [0, 2**64-1], got {seed}\n"
+        assert not out_dir.exists()
+    else:
+        assert f"(seed {seed}) complete" in captured.out
 
 
 def test_cli_run_writes_timeline_matching_center_export(tmp_path):
