@@ -11,7 +11,7 @@ from .baseline import AmiSample, ErrorReport, error_stats, matched_budget_interv
 from .center import IngestOutcome, Liveness, MonitoringCenter
 from .pi_protocol import MsgType, PiFrame, crc8, decode, encode
 from .radio import Channel, ChannelSpec, CoverageMap, broadcast
-from .router import ForwardedRecord, RouterState, flush, local_clock, receive
+from .router import ForwardedRecord, RouterState, flush, local_clock, receive, time_error_bound
 from .runner import RunResult, run_scenario, write_outputs
 from .scenario import Scenario, ScenarioValidationError, load, validate
 from .sensor import SensorDescriptor, SensorMode, SensorState, heartbeat, observe, sampling_driver
@@ -62,6 +62,7 @@ __all__ = [
     "run_scenario",
     "sampling_driver",
     "step_load_signal",
+    "time_error_bound",
     "validate",
     "value_at",
     "write_outputs",

@@ -16,6 +16,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import runner, scenario
+from .pi_protocol import PiProtocolError
 from .signalgen import SignalError
 
 
@@ -75,7 +76,7 @@ def cmd_run(args) -> int:
         return 1
     try:
         result = runner.run_scenario(sc, seed=args.seed)
-    except SignalError as exc:
+    except (SignalError, PiProtocolError) as exc:  # a signal or a frame the run cannot carry
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out_dir = args.out if args.out is not None else sc.outputs

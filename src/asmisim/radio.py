@@ -46,6 +46,9 @@ class Channel:
     spec: ChannelSpec
     seed: int = 0
     _streams: dict[tuple[int, int], object] = field(default_factory=dict, repr=False)
+    # The radio's books: one attempt per covering router, and the ones lost.
+    attempts: int = field(default=0, init=False)
+    lost: int = field(default=0, init=False)
 
     def new_link_rng(self, sensor_id: int, router_id: int):
         """Make and keep the stream of a link not used before."""
@@ -69,6 +72,7 @@ def broadcast(
     routers = coverage.routers_for(sensor_id)
     if not routers:
         raise UncoveredSensor(f"sensor {sensor_id} has no covering router")
+    channel.attempts += len(routers)
     spec = channel.spec
     loss_prob, latency, jitter = spec.loss_prob, spec.latency, spec.jitter
     streams = channel._streams
@@ -78,6 +82,7 @@ def broadcast(
         if rng is None:
             rng = channel.new_link_rng(sensor_id, router_id)
         if rng.random() < loss_prob:
+            channel.lost += 1
             continue
         if jitter:
             # randrange(n + 1) draws the same stream as randint(0, n)

@@ -45,6 +45,7 @@ class RouterState:
     sync_until: SimTime = 0
     # flush instant -> [(true receipt time, frame bytes), ...] as heard
     pending: dict[SimTime, list[tuple[SimTime, bytes]]] = field(default_factory=dict)
+    received: int = field(default=0, init=False)  # every receipt, dropped or filed
     dropped: int = 0
 
 
@@ -72,6 +73,17 @@ def local_clock(state: RouterState, true_t: SimTime) -> SimTime:
     return true_t + state.sync_residual + drift
 
 
+def time_error_bound(state: RouterState, latency: SimTime, jitter: SimTime) -> int:
+    """D_r, the most drift a stamp carries, in ms: the center's corrected
+    time minus the true emission time lies in [-D_r, D_r + jitter].
+
+    A receipt is at most S + latency + jitter after the last sync before it
+    (S is `sync_interval`; receipts after the horizon count from the last
+    sync at or before it), so D_r = round(|drift_ppm| * (S + L + J) / 1e6).
+    """
+    return round(abs(state.drift_ppm) * (state.sync_interval + latency + jitter) / 1_000_000)
+
+
 def receive(state: RouterState, data: bytes, true_t: SimTime) -> SimTime | None:
     """File one incoming transmission under its flush instant.
 
@@ -79,6 +91,7 @@ def receive(state: RouterState, data: bytes, true_t: SimTime) -> SimTime | None:
     Anything that is not exactly one frame long is counted and dropped;
     transport never crashes on garbage.
     """
+    state.received += 1
     if len(data) != FRAME_LEN:
         state.dropped += 1
         return None

@@ -12,10 +12,12 @@ Sensors rank before routers, so a receipt exactly on a flush instant makes
 that flush. Batches ship in (flush instant, router id) order, the order of
 transport.jsonl and of center ingest. The kernel runs to the last possible
 receipt, horizon + latency + jitter, and then each router's batch due
-after it ships at once, in router-id order. Nothing is ever in flight when
-the books are closed: emitted = delivered + radio-lost and delivered =
-dropped + accepted + deduped + quarantined + malformed hold exactly, not
-approximately.
+after it ships at once, in router-id order. Each layer keeps its own books:
+the channel counts attempts (emitted) and losses (radio_lost), the routers
+receipts (delivered) and drops, the center the rest. Nothing is in flight
+when the books close, so emitted = delivered + radio_lost (radio against
+routers) and delivered = dropped + accepted + deduped + quarantined +
+malformed (routers against center) hold exactly, not approximately.
 """
 
 from __future__ import annotations
@@ -109,20 +111,10 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
     spec = scenario.channel
     end_of_receipt = scenario.horizon + spec.latency + spec.jitter
     receive, flush = router.receive, router.flush
-
     coverage = scenario.coverage
-    covering = coverage.covering  # sensor_id -> covering router ids
-    # Radio tallies, written into the counters once the run is over.
-    emitted = delivered = radio_lost = 0
 
     def emit(frame, t: SimTime) -> None:
-        nonlocal emitted, delivered, radio_lost
-        sensor_id = frame.sensor_id
-        attempts = len(covering.get(sensor_id, ()))
-        deliveries = radio.broadcast(frame, sensor_id, t, coverage, channel)
-        emitted += attempts
-        delivered += len(deliveries)
-        radio_lost += attempts - len(deliveries)
+        deliveries = radio.broadcast(frame, frame.sensor_id, t, coverage, channel)
         data = radio.frame_bytes(frame)
         for router_id, at in deliveries:
             state = router_states[router_id]
@@ -151,9 +143,9 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
             ship(state, due)
 
     counters = {
-        "emitted": emitted,
-        "delivered": delivered,
-        "radio_lost": radio_lost,
+        "emitted": channel.attempts,
+        "delivered": sum(s.received for s in router_states.values()),
+        "radio_lost": channel.lost,
         "dropped": sum(s.dropped for s in router_states.values()),
         **center.counters,  # accepted, deduped, quarantined, malformed
     }

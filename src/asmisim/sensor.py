@@ -120,20 +120,19 @@ def sampling_driver(
 
     Observations fire at the exact crossing instants the signal oracle
     reports, so emission times match true crossing times to the
-    millisecond; STATUS frames follow the status schedule. Sensors with the
-    same (p0, dp, horizon) on one signal share one solve: the signal keeps
-    its instants as a tuple. Both schedules are chained lazily, not laid out
-    for the whole horizon: the sensor keeps at most one pending crossing
-    event and one pending status event, and each schedules its successor
-    when it fires. `emit` is called as
-    emit(frame, t) for every frame, in kernel order. A crossing's key is
+    millisecond; each STATUS fires at `state.next_status_at`, which only
+    `heartbeat` advances. Sensors with the same (p0, dp, horizon) on one
+    signal share one solve: the signal keeps its instants as a tuple. Both
+    schedules are chained lazily, not laid out for the whole horizon: the
+    sensor keeps at most one pending crossing event and one pending status
+    event, and each schedules its successor when it fires. `emit` is called
+    as emit(frame, t) for every frame, in kernel order. A crossing's key is
     (RANK_SENSOR, sensor_id, 0) and a status's (RANK_SENSOR, sensor_id, 1),
     so at a shared instant the EVENT precedes the STATUS.
     """
     state = new_state(descriptor)
     crossing_key = (RANK_SENSOR, descriptor.sensor_id, 0)
     status_key = (RANK_SENSOR, descriptor.sensor_id, 1)
-    interval = descriptor.status_interval
     key = (descriptor.p0, descriptor.dp, horizon)
     if key not in signal._instants:
         crossings = crossing_times(signal, descriptor.p0, descriptor.dp, horizon)
@@ -148,15 +147,15 @@ def sampling_driver(
             kernel.schedule(nxt, crossing_key, crossing, nxt)
 
     def status(t: SimTime) -> None:
-        frame = heartbeat(state, descriptor, t)
-        if frame is not None:
-            emit(frame, t)
-        if t + interval <= horizon:
-            kernel.schedule(t + interval, status_key, status, t + interval)
+        emit(heartbeat(state, descriptor, t), t)
+        nxt = state.next_status_at
+        if nxt <= horizon:
+            kernel.schedule(nxt, status_key, status, nxt)
 
     first = next(instants, None)
     if first is not None:
         kernel.schedule(first, crossing_key, crossing, first)
-    if interval <= horizon:
-        kernel.schedule(interval, status_key, status, interval)
+    first_status = state.next_status_at
+    if first_status <= horizon:
+        kernel.schedule(first_status, status_key, status, first_status)
     return state

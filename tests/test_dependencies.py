@@ -1,5 +1,6 @@
 """asmisim has no runtime dependency: every import in the package is
-relative or names a module of the standard library."""
+relative or names a module of the standard library. And it carries no dead
+import: each name a module imports is read there or exported."""
 
 import ast
 import sys
@@ -29,3 +30,33 @@ def test_package_imports_only_itself_and_the_standard_library():
 def test_a_third_party_import_is_caught():
     source = "import json\nimport numpy.linalg\nfrom . import radio\nfrom .rng import derive_rng\nfrom yaml import load\n"
     assert foreign_imports(source) == ["numpy.linalg", "yaml"]
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names bound by top-level imports in `source` that the module
+    never reads and does not list in `__all__`."""
+    tree = ast.parse(source)
+    bound, exported = [], set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.extend(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.extend(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in read and name not in exported]
+
+
+def test_every_import_is_read_or_exported():
+    unused = {path.name: unused_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_an_unused_import_is_caught():
+    source = (
+        "from __future__ import annotations\nimport struct\nimport os.path\n"
+        "from .rng import derive_rng as rng, derive_seed\nfrom . import radio\n"
+        "__all__ = ['derive_seed']\nos.path.join(rng())\nradio = None\n"
+    )
+    assert unused_imports(source) == ["struct", "radio"]

@@ -33,6 +33,23 @@ def test_uncovered_sensor_raises():
         broadcast(make_frame(sensor_id=2), 2, 0, coverage, channel)
 
 
+@pytest.mark.parametrize("routers", [1, 2, 3])
+@pytest.mark.parametrize("loss_prob", [0.0, 1.0, 0.3])
+def test_channel_counts_its_attempts_and_losses(loss_prob, routers):
+    coverage = CoverageMap.from_dict({1: list(range(1, routers + 1))})
+    channel = Channel(ChannelSpec(loss_prob=loss_prob), seed=7)
+    assert (channel.attempts, channel.lost) == (0, 0)
+    delivered = sum(len(broadcast(make_frame(seq_no=i + 1), 1, i, coverage, channel)) for i in range(200))
+    assert channel.attempts == 200 * routers
+    assert channel.lost == channel.attempts - delivered
+    if loss_prob == 0.0:
+        assert channel.lost == 0
+    elif loss_prob == 1.0:
+        assert channel.lost == channel.attempts
+    else:
+        assert 0 < channel.lost < channel.attempts
+
+
 def test_certain_loss_delivers_nothing():
     coverage = CoverageMap.from_dict({1: [1, 2]})
     channel = Channel(ChannelSpec(loss_prob=1.0), seed=7)

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from asmisim import radio, runner, scenario
 from asmisim.center import MonitoringCenter
 from asmisim.pi_protocol import FRAME_LEN, MsgType, PiFrame, encode
-from asmisim.router import ForwardedRecord, RouterState, flush, local_clock, receive
+from asmisim.router import ForwardedRecord, RouterState, flush, local_clock, receive, time_error_bound
 from asmisim.simkernel import MAX_SIMTIME, RANK_ROUTER, RANK_SENSOR, Kernel
 
 DAY = 86_400_000
@@ -51,11 +51,12 @@ def test_receive_drops_wrong_length():
     state = RouterState(router_id=1)
     assert receive(state, b"garbage", 0) is None
     assert state.pending == {}
-    assert state.dropped == 1
+    assert (state.received, state.dropped) == (1, 1)  # heard, then dropped
     assert receive(state, wire() + b"x", 1) is None
-    assert state.dropped == 2
+    assert (state.received, state.dropped) == (2, 2)
     assert receive(state, wire(), 2) == 60_000
     assert state.pending == {60_000: [(2, wire())]}
+    assert (state.received, state.dropped) == (3, 2)
 
 
 def test_receive_preserves_arrival_order_at_same_instant():
@@ -416,11 +417,25 @@ def outside_time_error_bound(sc, errors):
     is the jitter, in [0, J], plus the drift since the router's last sync.
     That sync is at most S before a receipt up to the horizon, and at most
     S + L + J before one in the receipt epilogue after it, so the drift is
-    at most D_r = round(|drift_ppm_r| * (S + L + J) / 1e6) either way.
+    at most D_r = `time_error_bound` either way. The states are built from
+    the scenario, not taken from the run, so the bound rests on what the
+    scenario declares.
     """
-    span = sc.sync_interval + sc.channel.latency + sc.channel.jitter
-    bound = {r.router_id: round(abs(r.drift_ppm) * span / 1_000_000) for r in sc.routers}
-    return [(rid, e) for rid, e in errors if not -bound[rid] <= e <= bound[rid] + sc.channel.jitter]
+    latency, jitter = sc.channel.latency, sc.channel.jitter
+    bound = {
+        r.router_id: time_error_bound(
+            RouterState(r.router_id, drift_ppm=r.drift_ppm, sync_interval=sc.sync_interval), latency, jitter
+        )
+        for r in sc.routers
+    }
+    return [(rid, e) for rid, e in errors if not -bound[rid] <= e <= bound[rid] + jitter]
+
+
+def test_time_error_bound_on_hand_computed_values():
+    # 40e-6 * (3_600_000 + 50 + 20) = 144.0028
+    assert time_error_bound(RouterState(1, drift_ppm=40.0, sync_interval=3_600_000), 50, 20) == 144
+    assert time_error_bound(RouterState(1, drift_ppm=-40.0, sync_interval=3_600_000), 50, 20) == 144
+    assert time_error_bound(RouterState(1, drift_ppm=0.0, sync_interval=3_600_000), 50, 20) == 0
 
 
 def test_corrected_times_stay_within_the_drift_and_jitter_bound(monkeypatch):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from asmisim import baseline, cli, pi_protocol, router, runner, scenario
+from asmisim import baseline, cli, pi_protocol, radio, router, runner, scenario, sensor
 from asmisim.center import TIMELINE_CSV_COLUMNS, MonitoringCenter
 from asmisim.pi_protocol import MsgType, PiFrame
 from asmisim.router import ForwardedRecord
@@ -569,7 +569,7 @@ def test_no_loss_three_routers_dedup_ratio():
         assert result.center.detect_gaps(descriptor.sensor_id) == []
 
 
-def test_conservation_identities_on_lossy_run():
+def lossy_two_router_scenario():
     doc = minimal_config(
         scenario_id="lossy",
         horizon=6 * 3_600_000,
@@ -578,8 +578,11 @@ def test_conservation_identities_on_lossy_run():
     )
     doc["routers"].append({"id": 2, "drift_ppm": 40.0, "sync_residual": 3})
     doc["coverage"] = {"1": [1, 2]}
-    sc = scenario.validate(doc)
-    result = runner.run_scenario(sc)
+    return scenario.validate(doc)
+
+
+def test_conservation_identities_on_lossy_run():
+    result = runner.run_scenario(lossy_two_router_scenario())
     c = result.counters
     assert c["radio_lost"] > 0, "lossy channel was supposed to lose something"
     assert c["emitted"] == c["delivered"] + c["radio_lost"]
@@ -587,6 +590,25 @@ def test_conservation_identities_on_lossy_run():
         c["dropped"] + c["accepted"] + c["deduped"] + c["quarantined"] + c["malformed"]
     )
     assert c["quarantined"] == 0 and c["malformed"] == 0 and c["dropped"] == 0
+
+
+def test_a_delivery_no_router_heard_breaks_the_radio_identity(monkeypatch):
+    """emitted and radio_lost are the radio's books and delivered the
+    routers', so a delivery lost between the two shows up in identity 1."""
+    original = radio.broadcast
+    lost = []
+
+    def dropping_the_last(frame, sensor_id, t, coverage, channel):
+        deliveries = original(frame, sensor_id, t, coverage, channel)
+        if deliveries:
+            lost.append(deliveries.pop())
+        return deliveries
+
+    monkeypatch.setattr(radio, "broadcast", dropping_the_last)
+    c = runner.run_scenario(lossy_two_router_scenario()).counters
+    assert lost and c["radio_lost"] > 0
+    assert c["emitted"] - c["delivered"] - c["radio_lost"] == len(lost)
+    assert c["delivered"] == c["dropped"] + c["accepted"] + c["deduped"] + c["quarantined"] + c["malformed"]
 
 
 def test_rerun_same_seed_is_bit_identical(tmp_path):
@@ -1095,6 +1117,27 @@ def test_cli_run_seed_must_be_an_unsigned_64_bit_integer(seed, code, tmp_path, c
         assert not out_dir.exists()
     else:
         assert f"(seed {seed}) complete" in captured.out
+
+
+def test_cli_run_reports_a_frame_the_wire_cannot_carry(monkeypatch, tmp_path, capsys):
+    """seq_no is unsigned 32-bit on the wire: a sensor one frame short of
+    wrapping makes encode refuse its next frame."""
+    new_state = sensor.new_state
+
+    def one_short_of_wrapping(descriptor):
+        state = new_state(descriptor)
+        state.seq_no = 2**32 - 1
+        return state
+
+    monkeypatch.setattr(sensor, "new_state", one_short_of_wrapping)
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--config", str(SCENARIO_DIR / "quiet_day.json"), "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: sensor_id ")
+    assert "seq_no 4294967296" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out_dir.exists()
 
 
 def test_cli_run_writes_timeline_matching_center_export(tmp_path):

@@ -143,6 +143,18 @@ def test_driver_constant_signal_only_status():
     assert [t for t, _ in emitted] == [H6, 2 * H6, 3 * H6, 4 * H6]
 
 
+@pytest.mark.parametrize("interval", [DAY - 1, DAY, DAY + 1, 7 * MS_PER_HOUR])
+def test_driver_status_fires_at_each_multiple_of_its_interval_up_to_the_horizon(interval):
+    sig = step_load_signal(base_rate_per_hour=0.0, horizon=DAY)
+    kernel = Kernel()
+    emitted = []
+    d = monotonic(status_interval=interval)
+    sampling_driver(d, sig, kernel, DAY, lambda f, t: emitted.append((t, f.msg_type, f.seq_no)))
+    kernel.run_until(DAY + interval)
+    expected = range(interval, DAY + 1, interval)
+    assert emitted == [(t, MsgType.STATUS, k) for k, t in enumerate(expected, start=1)]
+
+
 def test_driver_event_times_equal_oracle_crossings():
     sig = step_load_signal(base_rate_per_hour=1.0, horizon=2 * MS_PER_HOUR)
     kernel = Kernel()
