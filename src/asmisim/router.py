@@ -84,26 +84,19 @@ def time_error_bound(state: RouterState, latency: SimTime, jitter: SimTime) -> i
     return round(abs(state.drift_ppm) * (state.sync_interval + latency + jitter) / 1_000_000)
 
 
-def receive(state: RouterState, data: bytes, true_t: SimTime) -> SimTime | None:
+def receive(state: RouterState, data: bytes, true_t: SimTime) -> None:
     """File one incoming transmission under its flush instant.
 
-    Returns the flush instant when this receipt opened its batch, else None.
     Anything that is not exactly one frame long is counted and dropped;
     transport never crashes on garbage.
     """
     state.received += 1
     if len(data) != FRAME_LEN:
         state.dropped += 1
-        return None
+        return
     interval = state.flush_interval
     due = max(1, -(-true_t // interval)) * interval
-    record = (true_t, bytes(data))
-    batch = state.pending.get(due)
-    if batch is None:
-        state.pending[due] = [record]
-        return due
-    batch.append(record)
-    return None
+    state.pending.setdefault(due, []).append((true_t, bytes(data)))
 
 
 def flush(state: RouterState, due: SimTime) -> list[ForwardedRecord]:

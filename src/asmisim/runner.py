@@ -5,19 +5,23 @@ One run = one kernel. The wiring follows the system's one-way data flow:
     signal -> sensor -> radio broadcast -> router batch -> center ingest
 
 Nothing upstream reads a router or the center, and a router's stamp is a
-function of true time, so a delivery needs no event of its own. `emit`
-hands each delivery to its router (`router.receive`), and a receipt that
-opens a batch schedules the one event that ships it at its flush instant.
-Sensors rank before routers, so a receipt exactly on a flush instant makes
-that flush. Batches ship in (flush instant, router id) order, the order of
-transport.jsonl and of center ingest. The kernel runs to the last possible
-receipt, horizon + latency + jitter, and then each router's batch due
-after it ships at once, in router-id order. Each layer keeps its own books:
-the channel counts attempts (emitted) and losses (radio_lost), the routers
-receipts (delivered) and drops, the center the rest. Nothing is in flight
-when the books close, so emitted = delivered + radio_lost (radio against
-routers) and delivered = dropped + accepted + deduped + quarantined +
-malformed (routers against center) hold exactly, not approximately.
+function of true time, so the run takes two passes. First the kernel fires
+the sensors' events, up to the horizon; `emit` hands each delivery to its
+router, which files it under its flush instant (`router.receive`). Then
+every batch ships (`router.flush`) and is ingested, in (flush instant,
+router id) order, the order of transport.jsonl and of center ingest; a
+batch due after the last receipt, at horizon + latency + jitter, counts as
+due just after it, so those come last, in router-id order. A frame reaches
+its router no earlier than it is emitted and is filed at once, never after
+its flush instant, so each batch is complete when the kernel stops, and the
+order is the one a kernel event per batch, ranked after the sensors, would
+give. Each layer keeps its own books: the channel counts attempts
+(emitted) and losses (radio_lost), the routers receipts (delivered) and
+drops, the center the rest. Nothing is in flight when the books close, so
+emitted = delivered + radio_lost (radio against routers) and delivered =
+dropped + accepted + deduped + quarantined + malformed (routers against
+center) hold exactly, not approximately. The run also counts its kernel
+events (kernel_events) and the batches it shipped (flushes).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .rng import derive_seed
 from .scenario import Scenario
 from .sensor import SensorState
 from .signalgen import Signal, value_at
-from .simkernel import RANK_ROUTER, Kernel, SimTime
+from .simkernel import Kernel, SimTime
 
 COMPARISON_CSV_COLUMNS = (
     "scenario_id",
@@ -107,27 +111,15 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
     for descriptor in scenario.sensors:
         center.register_sensor(descriptor, scenario.sensor_locations[descriptor.sensor_id])
 
-    transport_rows: list[dict] = []
     spec = scenario.channel
     end_of_receipt = scenario.horizon + spec.latency + spec.jitter
     receive, flush = router.receive, router.flush
     coverage = scenario.coverage
 
     def emit(frame, t: SimTime) -> None:
-        deliveries = radio.broadcast(frame, frame.sensor_id, t, coverage, channel)
         data = radio.frame_bytes(frame)
-        for router_id, at in deliveries:
-            state = router_states[router_id]
-            due = receive(state, data, at)
-            if due is not None and due <= end_of_receipt:
-                kernel.schedule(due, (RANK_ROUTER, router_id, due), ship, state, due)
-
-    def ship(state: router.RouterState, due: SimTime) -> None:
-        """One router flush, forwarded to the center."""
-        for rec in flush(state, due):
-            router_id, data, local = rec
-            transport_rows.append({"router_id": router_id, "local_receipt_time_ms": local, "frame_hex": data.hex()})
-            center.ingest(rec)
+        for router_id, at in radio.broadcast(frame, frame.sensor_id, t, coverage, channel):
+            receive(router_states[router_id], data, at)
 
     sensor_states: dict[int, SensorState] = {}
     for descriptor in scenario.sensors:
@@ -135,12 +127,20 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
             descriptor, signals[descriptor.signal_id], kernel, scenario.horizon, emit
         )
 
-    kernel.run_until(end_of_receipt)
+    kernel.run_until(scenario.horizon)
 
-    # Final drain: each router's last batch, due after the last receipt.
-    for _router_id, state in sorted(router_states.items()):
-        for due in sorted(state.pending):
-            ship(state, due)
+    # Every batch is complete. Those due after the last receipt go last, by router id.
+    batches = sorted(
+        (min(due, end_of_receipt + 1), router_id, due)
+        for router_id, state in router_states.items()
+        for due in state.pending
+    )
+    transport_rows: list[dict] = []
+    for _order, router_id, due in batches:
+        for rec in flush(router_states[router_id], due):
+            _, data, local = rec
+            transport_rows.append({"router_id": router_id, "local_receipt_time_ms": local, "frame_hex": data.hex()})
+            center.ingest(rec)
 
     counters = {
         "emitted": channel.attempts,
@@ -148,6 +148,8 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
         "radio_lost": channel.lost,
         "dropped": sum(s.dropped for s in router_states.values()),
         **center.counters,  # accepted, deduped, quarantined, malformed
+        "kernel_events": kernel.fired_total(),
+        "flushes": len(batches),
     }
 
     result = RunResult(

@@ -321,8 +321,8 @@ def validate(doc: dict) -> Scenario:
 
     outputs = _text(errors, doc, "", "outputs", "out", "must be a non-empty string (directory path)")
 
-    # Every kernel time must stay inside MAX_SIMTIME; the last is the last
-    # receipt, at horizon + latency + jitter.
+    # Every receipt time a router files and stamps must stay inside
+    # MAX_SIMTIME; the last is at horizon + latency + jitter.
     times = (horizon, latency, jitter)
     if None not in times and sum(times) > MAX_SIMTIME:
         errors.append(("horizon", "plus channel.latency and channel.jitter must be at most 2**64-1"))

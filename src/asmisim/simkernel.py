@@ -17,12 +17,11 @@ SimTime = int
 
 MAX_SIMTIME = 2**64 - 1
 
-# Actor-class ranks used as the first component of priority keys. At equal
-# fire times, upstream actors act before downstream ones: a frame a sensor
-# emits at a router's flush instant still makes that flush. The radio and
-# the center act inside sensor and router events and schedule none.
+# Actor-class rank, the first component of priority keys. Sensors are the
+# only actors with events: the radio and the routers act inside sensor
+# events, and the routers' batches ship to the center after the kernel has
+# drained, so nothing downstream needs a rank of its own.
 RANK_SENSOR = 1
-RANK_ROUTER = 3
 
 
 class SchedulingInPast(Exception):

@@ -6,13 +6,13 @@ from asmisim import radio, runner, scenario
 from asmisim.center import MonitoringCenter
 from asmisim.pi_protocol import FRAME_LEN, MsgType, PiFrame, encode
 from asmisim.router import ForwardedRecord, RouterState, flush, local_clock, receive, time_error_bound
-from asmisim.simkernel import MAX_SIMTIME, RANK_ROUTER, RANK_SENSOR, Kernel
+from asmisim.simkernel import MAX_SIMTIME, RANK_SENSOR, Kernel
 
 DAY = 86_400_000
 
-# The reference models below schedule radio receipts and center actions as
-# kernel events, ranked after the sensors and after the routers.
-RANK_RECEIPT, RANK_CENTER = RANK_SENSOR + 1, RANK_ROUTER + 1
+# The reference models below schedule radio receipts, router flushes and
+# center actions as kernel events, ranked after the sensors in that order.
+RANK_RECEIPT, RANK_ROUTER, RANK_CENTER = RANK_SENSOR + 1, RANK_SENSOR + 2, RANK_SENSOR + 3
 
 
 def wire(seq_no=1):
@@ -42,41 +42,45 @@ def test_local_clock_unsynced_day_drift():
 
 def test_receive_buffers_with_local_stamp():
     state = RouterState(router_id=7, sync_residual=3)
-    assert receive(state, wire(), 1_000) == 60_000
+    receive(state, wire(), 1_000)
     assert state.pending == {60_000: [(1_000, wire())]}
     assert flush(state, 60_000) == [ForwardedRecord(7, wire(), 1_003)]
 
 
 def test_receive_drops_wrong_length():
     state = RouterState(router_id=1)
-    assert receive(state, b"garbage", 0) is None
+    receive(state, b"garbage", 0)
     assert state.pending == {}
     assert (state.received, state.dropped) == (1, 1)  # heard, then dropped
-    assert receive(state, wire() + b"x", 1) is None
+    receive(state, wire() + b"x", 1)
+    assert state.pending == {}
     assert (state.received, state.dropped) == (2, 2)
-    assert receive(state, wire(), 2) == 60_000
+    receive(state, wire(), 2)
     assert state.pending == {60_000: [(2, wire())]}
     assert (state.received, state.dropped) == (3, 2)
 
 
 def test_receive_preserves_arrival_order_at_same_instant():
     state = RouterState(router_id=1)
-    assert receive(state, wire(1), 50) == 60_000
-    assert receive(state, wire(2), 50) is None  # joins the batch the first opened
+    receive(state, wire(1), 50)
+    receive(state, wire(2), 50)
+    assert state.pending == {60_000: [(50, wire(1)), (50, wire(2))]}  # one batch, in the order heard
     assert [r.frame_bytes for r in flush(state, 60_000)] == [wire(1), wire(2)]
 
 
 def test_flush_returns_and_clears():
     state = RouterState(router_id=1, flush_interval=100)
-    opened = [receive(state, wire(i + 1), t) for i, t in enumerate((40, 10, 90, 10, 1))]
-    assert opened == [100, None, None, None, None]
+    for i, t in enumerate((40, 10, 90, 10, 1)):
+        receive(state, wire(i + 1), t)
+    assert list(state.pending) == [100]
     batch = flush(state, 100)
     # true receipt order; the two receipts at 10 keep the order they were heard in
     assert [r.frame_bytes for r in batch] == [wire(5), wire(2), wire(4), wire(1), wire(3)]
     assert [r.local_receipt_time for r in batch] == [1, 10, 10, 40, 90]
     assert state.pending == {}
     # records arriving after a flush appear only in the next batch
-    assert receive(state, wire(6), 200) == 200
+    receive(state, wire(6), 200)
+    assert state.pending == {200: [(200, wire(6))]}
     assert [r.frame_bytes for r in flush(state, 200)] == [wire(6)]
     assert state.pending == {}
 
@@ -84,25 +88,29 @@ def test_flush_returns_and_clears():
 def test_receipt_at_zero_files_under_the_first_flush():
     for interval in (1, 250, DAY):
         state = RouterState(router_id=1, flush_interval=interval)
-        assert receive(state, wire(), 0) == interval
-        assert list(state.pending) == [interval]
+        receive(state, wire(), 0)
+        assert state.pending == {interval: [(0, wire())]}
 
 
 def test_receipt_on_a_flush_instant_files_under_that_instant():
     for interval, k in ((1, 1), (1, 7), (250, 1), (250, 2), (250, 9), (1, MAX_SIMTIME - 1)):
         state = RouterState(router_id=1, flush_interval=interval)
-        assert receive(state, wire(1), k * interval) == k * interval
-        assert receive(state, wire(2), k * interval + 1) == (k + 1) * interval
+        at = k * interval
+        receive(state, wire(1), at)
+        receive(state, wire(2), at + 1)
+        expected = {at: [(at, wire(1))], at + interval: [(at + 1, wire(2))]}
         if interval > 1:
-            assert receive(state, wire(3), k * interval - 1) is None  # joins k * interval
-        assert len(state.pending[k * interval]) == 1 + (interval > 1)
+            receive(state, wire(3), at - 1)  # joins the batch due at `at`
+            expected[at].append((at - 1, wire(3)))
+        assert state.pending == expected
 
 
 def test_flushing_one_pending_batch_leaves_the_other():
     state = RouterState(router_id=4, flush_interval=1_000)
-    assert receive(state, wire(1), 1_500) == 2_000
-    assert receive(state, wire(2), 500) == 1_000
-    assert receive(state, wire(3), 1_999) is None
+    receive(state, wire(1), 1_500)
+    receive(state, wire(2), 500)
+    receive(state, wire(3), 1_999)
+    assert state.pending == {2_000: [(1_500, wire(1)), (1_999, wire(3))], 1_000: [(500, wire(2))]}
     assert [r.frame_bytes for r in flush(state, 2_000)] == [wire(1), wire(3)]
     assert state.pending == {1_000: [(500, wire(2))]}
     assert [r.frame_bytes for r in flush(state, 1_000)] == [wire(2)]
@@ -111,7 +119,8 @@ def test_flushing_one_pending_batch_leaves_the_other():
 
 def test_stamp_is_the_local_clock_at_receipt_not_at_flush():
     state = RouterState(router_id=1, drift_ppm=100.0, sync_residual=5, flush_interval=DAY)
-    assert receive(state, wire(), 10_000_000) == DAY
+    receive(state, wire(), 10_000_000)
+    assert list(state.pending) == [DAY]
     [rec] = flush(state, DAY)
     assert rec.local_receipt_time == local_clock(state, 10_000_000) == 10_001_005
     assert local_clock(state, DAY) != rec.local_receipt_time
@@ -344,7 +353,7 @@ def _transport_scenario(rng, case):
     return sc, rng.randrange(0, 1_000)
 
 
-def test_shipping_on_demand_matches_event_driven_transport(monkeypatch):
+def test_post_kernel_shipping_matches_event_driven_transport(monkeypatch):
     seen = Counter()
     original = radio.broadcast
     for case in range(40):
@@ -368,21 +377,25 @@ def test_shipping_on_demand_matches_event_driven_transport(monkeypatch):
         # The edges these runs must reach, counted over all cases.
         end = sc.horizon + sc.channel.latency + sc.channel.jitter
         interval = {r.router_id: r.flush_interval for r in sc.routers}
-        first_emit, drained = {}, set()
+        first_emit, drained = {}, {}  # router id -> flush instant after the end of receipts
         for (router_id, at, _data), t in zip(deliveries, emitted_at):
             f = interval[router_id]
             seen["receipt at 0"] += at == 0
             seen["receipt on a flush multiple"] += at > 0 and f > 1 and at % f == 0
             seen["same-ms receipts emitted apart"] += first_emit.setdefault((router_id, at), t) != t
-            if max(1, -(-at // f)) * f > end:
-                drained.add(router_id)
+            due = max(1, -(-at // f)) * f
+            if due > end:
+                drained[router_id] = due
         seen["F = 1"] += 1 in interval.values()
         seen["1 < F dividing the end of receipts"] += any(1 < f <= end and end % f == 0 for f in interval.values())
         seen["F past the end of receipts"] += any(f > end for f in interval.values())
         seen["drain records on two routers"] += len(drained) >= 2
+        drained_dues = [drained[router_id] for router_id in sorted(drained)]
+        seen["end-of-run flush instants out of router-id order"] += drained_dues != sorted(drained_dues)
     assert all(seen[edge] for edge in (
         "receipt at 0", "receipt on a flush multiple", "same-ms receipts emitted apart", "F = 1",
         "1 < F dividing the end of receipts", "F past the end of receipts", "drain records on two routers",
+        "end-of-run flush instants out of router-id order",
     )), seen
 
 

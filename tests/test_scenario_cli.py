@@ -14,7 +14,7 @@ from asmisim.center import TIMELINE_CSV_COLUMNS, MonitoringCenter
 from asmisim.pi_protocol import MsgType, PiFrame
 from asmisim.router import ForwardedRecord
 from asmisim.sensor import SensorDescriptor, SensorMode
-from asmisim.signalgen import LevelOutOfRange, SignalError, value_at
+from asmisim.signalgen import LevelOutOfRange, SignalError, crossing_times, value_at
 from asmisim.simkernel import MAX_SIMTIME
 
 from test_router import corrected_time_errors, outside_time_error_bound
@@ -609,6 +609,34 @@ def test_a_delivery_no_router_heard_breaks_the_radio_identity(monkeypatch):
     assert lost and c["radio_lost"] > 0
     assert c["emitted"] - c["delivered"] - c["radio_lost"] == len(lost)
     assert c["delivered"] == c["dropped"] + c["accepted"] + c["deduped"] + c["quarantined"] + c["malformed"]
+
+
+@pytest.mark.parametrize("source", ["lossy_two_router", "quiet_day.json"])
+def test_run_counts_its_kernel_events_and_flushes(source, monkeypatch):
+    """The kernel fires sensor events only, one per distinct crossing instant
+    and one per status, and each (router, flush instant) a delivery falls
+    under is shipped exactly once."""
+    sc = lossy_two_router_scenario() if source == "lossy_two_router" else scenario.load(SCENARIO_DIR / source)
+    original = radio.broadcast
+    deliveries = []
+
+    def recording(frame, sensor_id, t, coverage, channel):
+        out = original(frame, sensor_id, t, coverage, channel)
+        deliveries.extend(out)
+        return out
+
+    monkeypatch.setattr(radio, "broadcast", recording)
+    result = runner.run_scenario(sc)
+    sensor_events = sum(
+        len({t for t, _direction in crossing_times(result.signals[d.signal_id], d.p0, d.dp, sc.horizon)})
+        + sc.horizon // d.status_interval
+        for d in sc.sensors
+    )
+    interval = {r.router_id: r.flush_interval for r in sc.routers}
+    batches = {(rid, max(1, -(-at // interval[rid])) * interval[rid]) for rid, at in deliveries}
+    assert deliveries and result.counters["delivered"] == len(deliveries)
+    assert result.counters["kernel_events"] == sensor_events
+    assert result.counters["flushes"] == len(batches)
 
 
 def test_rerun_same_seed_is_bit_identical(tmp_path):

@@ -2,13 +2,15 @@ import pytest
 
 from asmisim.simkernel import (
     MAX_SIMTIME,
-    RANK_ROUTER,
     RANK_SENSOR,
     Kernel,
     SchedulingInPast,
     SimTimeOverflow,
     as_simtime,
 )
+
+# A second actor class, ranked after the sensors, for the tie-break tests.
+RANK_ROUTER = 3
 
 
 def test_fires_in_time_order():
