@@ -16,7 +16,7 @@ from .runner import RunResult, run_scenario, write_outputs
 from .scenario import Scenario, ScenarioValidationError, load, validate
 from .sensor import SensorDescriptor, SensorMode, SensorState, heartbeat, observe, sampling_driver
 from .signalgen import Signal, SignalKind, crossing_times, diurnal_signal, step_load_signal, value_at
-from .simkernel import Kernel, SimTime
+from .simkernel import SimTime
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,6 @@ __all__ = [
     "ErrorReport",
     "ForwardedRecord",
     "IngestOutcome",
-    "Kernel",
     "Liveness",
     "MonitoringCenter",
     "MsgType",

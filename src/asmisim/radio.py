@@ -1,10 +1,10 @@
 """Broadcast channel from sensors to every router in radio range.
 
 Each (sensor, router) link has its own seeded loss stream, one draw per
-frame in kernel order, so dropping one link's delivery never perturbs any
-other link — per-router loss is independent by construction and stable
-under coverage changes. Latency is fixed by default; optional uniform
-jitter is available but off unless configured.
+frame in the sensor's emission order, so dropping one link's delivery
+never perturbs any other link — per-router loss is independent by
+construction and stable under coverage changes. Latency is fixed by
+default; optional uniform jitter is available but off unless configured.
 """
 
 from __future__ import annotations

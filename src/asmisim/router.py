@@ -4,11 +4,13 @@ Routers are sensor-agnostic transport. `receive` files each frame under
 its flush instant, the first positive multiple of the flush interval at or
 after its true receipt time, so a batch exists only once a frame was heard
 for it and no flush is empty. `flush` hands one batch over in true receipt
-order (ties keep the order heard), each frame stamped with the local clock
-at its receipt. Frame bytes are never decoded beyond a length check, so the
-transport is byte-identical whatever parameter the frames describe. The
-router-to-center backhaul is modeled reliable and ordered; unreliability in
-this system lives on the sensor-to-router radio leg.
+order, each frame stamped with the local clock at its receipt. A real
+router cannot see when a frame was sent: `receive` takes the emission time
+only as a deterministic tie-break, so receipts in one millisecond go by
+emission time, then in the order heard. Frame bytes are never decoded
+beyond a length check, so the transport is byte-identical whatever
+parameter the frames describe. The router-to-center backhaul is modeled
+reliable and ordered; unreliability lives on the sensor-to-router radio leg.
 
 The center syncs every router at each multiple of the sync interval up to
 the horizon, so a stamp is a function of true time (`local_clock`): true
@@ -43,8 +45,8 @@ class RouterState:
     # by default synced at 0 and never again.
     sync_interval: SimTime = 3_600_000
     sync_until: SimTime = 0
-    # flush instant -> [(true receipt time, frame bytes), ...] as heard
-    pending: dict[SimTime, list[tuple[SimTime, bytes]]] = field(default_factory=dict)
+    # flush instant -> [(true receipt time, emission time, frame bytes), ...] as heard
+    pending: dict[SimTime, list[tuple[SimTime, SimTime, bytes]]] = field(default_factory=dict)
     received: int = field(default=0, init=False)  # every receipt, dropped or filed
     dropped: int = 0
 
@@ -84,8 +86,9 @@ def time_error_bound(state: RouterState, latency: SimTime, jitter: SimTime) -> i
     return round(abs(state.drift_ppm) * (state.sync_interval + latency + jitter) / 1_000_000)
 
 
-def receive(state: RouterState, data: bytes, true_t: SimTime) -> None:
-    """File one incoming transmission under its flush instant.
+def receive(state: RouterState, data: bytes, true_t: SimTime, sent_at: SimTime) -> None:
+    """File one incoming transmission, heard at `true_t` and sent at
+    `sent_at`, under its flush instant.
 
     Anything that is not exactly one frame long is counted and dropped;
     transport never crashes on garbage.
@@ -96,12 +99,12 @@ def receive(state: RouterState, data: bytes, true_t: SimTime) -> None:
         return
     interval = state.flush_interval
     due = max(1, -(-true_t // interval)) * interval
-    state.pending.setdefault(due, []).append((true_t, bytes(data)))
+    state.pending.setdefault(due, []).append((true_t, sent_at, bytes(data)))
 
 
 def flush(state: RouterState, due: SimTime) -> list[ForwardedRecord]:
     """Hand over the batch filed under `due`, stamped and in receipt order."""
     batch = state.pending.pop(due)
-    batch.sort(key=itemgetter(0))  # stable: equal receipt times keep the order heard
+    batch.sort(key=itemgetter(0, 1))  # stable: equal (receipt, emission) times keep the order heard
     router_id = state.router_id
-    return [ForwardedRecord(router_id, data, local_clock(state, at)) for at, data in batch]
+    return [ForwardedRecord(router_id, data, local_clock(state, at)) for at, _sent_at, data in batch]

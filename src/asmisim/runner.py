@@ -1,27 +1,27 @@
 """End-to-end scenario execution and report/output generation.
 
-One run = one kernel. The wiring follows the system's one-way data flow:
+The wiring follows the system's one-way data flow:
 
     signal -> sensor -> radio broadcast -> router batch -> center ingest
 
-Nothing upstream reads a router or the center, and a router's stamp is a
-function of true time, so the run takes two passes. First the kernel fires
-the sensors' events, up to the horizon; `emit` hands each delivery to its
-router, which files it under its flush instant (`router.receive`). Then
+A sensor never receives anything, each radio loss stream belongs to one
+(sensor, router) link, and a router's stamp is a function of true time, so
+the run takes two passes and no event scheduler. First each sensor runs its
+whole horizon (`sensor.sampling_driver`), one after another in sensor-id
+order; `emit` hands each delivery to its router, which files it with its
+emission time under its flush instant (`router.receive`). A batch sorts
+stably by (receipt, emission), so equal receipts go by (receipt, emission,
+sensor id, seq_no), as one clock over all sensors would order them. Then
 every batch ships (`router.flush`) and is ingested, in (flush instant,
 router id) order, the order of transport.jsonl and of center ingest; a
 batch due after the last receipt, at horizon + latency + jitter, counts as
-due just after it, so those come last, in router-id order. A frame reaches
-its router no earlier than it is emitted and is filed at once, never after
-its flush instant, so each batch is complete when the kernel stops, and the
-order is the one a kernel event per batch, ranked after the sensors, would
-give. Each layer keeps its own books: the channel counts attempts
-(emitted) and losses (radio_lost), the routers receipts (delivered) and
-drops, the center the rest. Nothing is in flight when the books close, so
-emitted = delivered + radio_lost (radio against routers) and delivered =
-dropped + accepted + deduped + quarantined + malformed (routers against
-center) hold exactly, not approximately. The run also counts its kernel
-events (kernel_events) and the batches it shipped (flushes).
+due just after it, so those come last, in router-id order. Each layer keeps
+its own books: the channel counts attempts (emitted) and losses
+(radio_lost), the routers receipts (delivered) and drops, the center the
+rest. Nothing is in flight when the books close, so emitted = delivered +
+radio_lost (radio against routers) and delivered = dropped + accepted +
+deduped + quarantined + malformed (routers against center) hold exactly,
+not approximately. The run also counts the batches it shipped (flushes).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .rng import derive_seed
 from .scenario import Scenario
 from .sensor import SensorState
 from .signalgen import Signal, value_at
-from .simkernel import Kernel, SimTime
+from .simkernel import SimTime
 
 COMPARISON_CSV_COLUMNS = (
     "scenario_id",
@@ -92,7 +92,6 @@ def build_signals(scenario: Scenario, seed: int) -> dict[str, Signal]:
 def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
     """Execute a validated scenario; pure function of (scenario, seed)."""
     seed = scenario.seed if seed is None else seed
-    kernel = Kernel()
     signals = build_signals(scenario, seed)
     channel = radio.Channel(spec=scenario.channel, seed=seed)
 
@@ -119,15 +118,13 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
     def emit(frame, t: SimTime) -> None:
         data = radio.frame_bytes(frame)
         for router_id, at in radio.broadcast(frame, frame.sensor_id, t, coverage, channel):
-            receive(router_states[router_id], data, at)
+            receive(router_states[router_id], data, at, t)
 
     sensor_states: dict[int, SensorState] = {}
-    for descriptor in scenario.sensors:
+    for descriptor in sorted(scenario.sensors, key=lambda d: d.sensor_id):
         sensor_states[descriptor.sensor_id] = sensor.sampling_driver(
-            descriptor, signals[descriptor.signal_id], kernel, scenario.horizon, emit
+            descriptor, signals[descriptor.signal_id], scenario.horizon, emit
         )
-
-    kernel.run_until(scenario.horizon)
 
     # Every batch is complete. Those due after the last receipt go last, by router id.
     batches = sorted(
@@ -148,7 +145,6 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
         "radio_lost": channel.lost,
         "dropped": sum(s.dropped for s in router_states.values()),
         **center.counters,  # accepted, deduped, quarantined, malformed
-        "kernel_events": kernel.fired_total(),
         "flushes": len(batches),
     }
 

@@ -5,7 +5,7 @@ its field path in a single pass, so a batch user fixes a config in one
 round trip instead of replaying the simulator error by error.
 
 Each kind of value has one check: an integer in [lo, hi] (hi is the
-kernel's MAX_SIMTIME unless a field says otherwise), a finite number in
+simkernel's MAX_SIMTIME unless a field says otherwise), a finite number in
 [lo, hi], a string, a list of objects. NaN or a time past MAX_SIMTIME
 never gets past load.
 """

@@ -15,7 +15,7 @@ from enum import Enum
 
 from .pi_protocol import MsgType, PiFrame
 from .signalgen import Signal, crossing_times, reach_tolerance, value_at
-from .simkernel import RANK_SENSOR, Kernel, SimTime
+from .simkernel import SimTime
 
 
 class MonotonicityViolated(Exception):
@@ -112,50 +112,30 @@ def heartbeat(
 def sampling_driver(
     descriptor: SensorDescriptor,
     signal: Signal,
-    kernel: Kernel,
     horizon: SimTime,
     emit,
 ) -> SensorState:
-    """Wire a sensor into a kernel for the whole horizon.
+    """Run a sensor over the whole horizon in one loop, in time order.
 
-    Observations fire at the exact crossing instants the signal oracle
+    Observations fall at the exact crossing instants the signal oracle
     reports, so emission times match true crossing times to the
-    millisecond; each STATUS fires at `state.next_status_at`, which only
-    `heartbeat` advances. Sensors with the same (p0, dp, horizon) on one
-    signal share one solve: the signal keeps its instants as a tuple. Both
-    schedules are chained lazily, not laid out for the whole horizon: the
-    sensor keeps at most one pending crossing event and one pending status
-    event, and each schedules its successor when it fires. `emit` is called
-    as emit(frame, t) for every frame, in kernel order. A crossing's key is
-    (RANK_SENSOR, sensor_id, 0) and a status's (RANK_SENSOR, sensor_id, 1),
-    so at a shared instant the EVENT precedes the STATUS.
+    millisecond; each STATUS falls at `state.next_status_at`, which only
+    `heartbeat` advances, up to the horizon. Sensors with the same
+    (p0, dp, horizon) on one signal share one solve: the signal keeps its
+    instants as a tuple. The loop walks those instants and the status
+    schedule together, EVENTs before the STATUS at a shared instant, and
+    calls emit(frame, t) for every frame. It reads no other sensor.
     """
     state = new_state(descriptor)
-    crossing_key = (RANK_SENSOR, descriptor.sensor_id, 0)
-    status_key = (RANK_SENSOR, descriptor.sensor_id, 1)
     key = (descriptor.p0, descriptor.dp, horizon)
     if key not in signal._instants:
         crossings = crossing_times(signal, descriptor.p0, descriptor.dp, horizon)
         signal._instants[key] = tuple(sorted({t for t, _direction in crossings}))
-    instants = iter(signal._instants[key])
-
-    def crossing(t: SimTime) -> None:
+    for t in signal._instants[key]:
+        while (due := state.next_status_at) < t:
+            emit(heartbeat(state, descriptor, due), due)
         for frame in observe(state, descriptor, t, value_at(signal, t)):
             emit(frame, t)
-        nxt = next(instants, None)
-        if nxt is not None:
-            kernel.schedule(nxt, crossing_key, crossing, nxt)
-
-    def status(t: SimTime) -> None:
-        emit(heartbeat(state, descriptor, t), t)
-        nxt = state.next_status_at
-        if nxt <= horizon:
-            kernel.schedule(nxt, status_key, status, nxt)
-
-    first = next(instants, None)
-    if first is not None:
-        kernel.schedule(first, crossing_key, crossing, first)
-    first_status = state.next_status_at
-    if first_status <= horizon:
-        kernel.schedule(first_status, status_key, status, first_status)
+    while (due := state.next_status_at) <= horizon:
+        emit(heartbeat(state, descriptor, due), due)
     return state

@@ -90,7 +90,7 @@ class Signal:
     piece table that value_at looks terms up in (_load_pieces), the
     breakpoint table of each horizon that crossing_times walks
     (_breakpoint_tables), and the crossing instants of each
-    (p0, dp, horizon) that sensor.sampling_driver schedules (_instants).
+    (p0, dp, horizon) that sensor.sampling_driver walks (_instants).
     """
 
     kind: SignalKind

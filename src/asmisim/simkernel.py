@@ -1,11 +1,11 @@
-"""Deterministic discrete-event kernel.
+"""Simulated time, and a deterministic discrete-event kernel.
 
-All simulated actions are totally ordered by (fire time, priority key,
-insertion order) and executed single-threaded, so a run is a pure function
-of its schedule. An event is a callable and its arguments, stored as they
-are and called when the event fires, so scheduling builds no closure. Time
-is integer milliseconds; there is no floating-point time anywhere in the
-kernel.
+Time is integer milliseconds (SimTime) in the unsigned 64-bit range; there
+is no floating-point time anywhere. A run needs no kernel (see runner): the
+Kernel serves the event-driven reference models in the tests. It orders
+events by (fire time, priority key, insertion order) and runs them
+single-threaded; an event is a callable and its arguments, stored as they
+are and called when the event fires, so scheduling builds no closure.
 """
 
 from __future__ import annotations
@@ -16,12 +16,6 @@ from typing import Callable
 SimTime = int
 
 MAX_SIMTIME = 2**64 - 1
-
-# Actor-class rank, the first component of priority keys. Sensors are the
-# only actors with events: the radio and the routers act inside sensor
-# events, and the routers' batches ship to the center after the kernel has
-# drained, so nothing downstream needs a rank of its own.
-RANK_SENSOR = 1
 
 
 class SchedulingInPast(Exception):

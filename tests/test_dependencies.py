@@ -1,12 +1,14 @@
 """asmisim has no runtime dependency: every import in the package is
-relative or names a module of the standard library. And it carries no dead
-import: each name a module imports is read there or exported."""
+relative or names a module of the standard library. And neither the package
+nor its tests carry a dead import: each name a module imports is read there
+or exported."""
 
 import ast
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "asmisim"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "asmisim"
 
 
 def foreign_imports(source: str) -> list[str]:
@@ -49,7 +51,9 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_every_import_is_read_or_exported():
-    unused = {path.name: unused_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    sources = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert len(sources) >= 20
+    unused = {f"{path.parent.name}/{path.name}": unused_imports(path.read_text()) for path in sources}
     assert {name: found for name, found in unused.items() if found} == {}
 
 

@@ -6,13 +6,13 @@ from asmisim import radio, runner, scenario
 from asmisim.center import MonitoringCenter
 from asmisim.pi_protocol import FRAME_LEN, MsgType, PiFrame, encode
 from asmisim.router import ForwardedRecord, RouterState, flush, local_clock, receive, time_error_bound
-from asmisim.simkernel import MAX_SIMTIME, RANK_SENSOR, Kernel
+from asmisim.simkernel import MAX_SIMTIME, Kernel
 
 DAY = 86_400_000
 
 # The reference models below schedule radio receipts, router flushes and
-# center actions as kernel events, ranked after the sensors in that order.
-RANK_RECEIPT, RANK_ROUTER, RANK_CENTER = RANK_SENSOR + 1, RANK_SENSOR + 2, RANK_SENSOR + 3
+# center actions as kernel events, ranked in that order.
+RANK_RECEIPT, RANK_ROUTER, RANK_CENTER = 2, 3, 4
 
 
 def wire(seq_no=1):
@@ -42,36 +42,45 @@ def test_local_clock_unsynced_day_drift():
 
 def test_receive_buffers_with_local_stamp():
     state = RouterState(router_id=7, sync_residual=3)
-    receive(state, wire(), 1_000)
-    assert state.pending == {60_000: [(1_000, wire())]}
+    receive(state, wire(), 1_000, 950)
+    assert state.pending == {60_000: [(1_000, 950, wire())]}
     assert flush(state, 60_000) == [ForwardedRecord(7, wire(), 1_003)]
 
 
 def test_receive_drops_wrong_length():
     state = RouterState(router_id=1)
-    receive(state, b"garbage", 0)
+    receive(state, b"garbage", 0, 0)
     assert state.pending == {}
     assert (state.received, state.dropped) == (1, 1)  # heard, then dropped
-    receive(state, wire() + b"x", 1)
+    receive(state, wire() + b"x", 1, 0)
     assert state.pending == {}
     assert (state.received, state.dropped) == (2, 2)
-    receive(state, wire(), 2)
-    assert state.pending == {60_000: [(2, wire())]}
+    receive(state, wire(), 2, 0)
+    assert state.pending == {60_000: [(2, 0, wire())]}
     assert (state.received, state.dropped) == (3, 2)
 
 
 def test_receive_preserves_arrival_order_at_same_instant():
     state = RouterState(router_id=1)
-    receive(state, wire(1), 50)
-    receive(state, wire(2), 50)
-    assert state.pending == {60_000: [(50, wire(1)), (50, wire(2))]}  # one batch, in the order heard
+    receive(state, wire(1), 50, 0)
+    receive(state, wire(2), 50, 0)
+    assert state.pending == {60_000: [(50, 0, wire(1)), (50, 0, wire(2))]}  # one batch, in the order heard
     assert [r.frame_bytes for r in flush(state, 60_000)] == [wire(1), wire(2)]
+
+
+def test_equal_receipts_go_by_emission_time_then_in_the_order_heard():
+    state = RouterState(router_id=1, sync_residual=2)
+    for seq_no, (at, sent_at) in enumerate(((50, 40), (50, 30), (50, 40), (49, 45), (50, 35)), start=1):
+        receive(state, wire(seq_no), at, sent_at)
+    batch = flush(state, 60_000)
+    assert [r.frame_bytes for r in batch] == [wire(4), wire(2), wire(5), wire(1), wire(3)]
+    assert [r.local_receipt_time for r in batch] == [51, 52, 52, 52, 52]  # the emission time stamps nothing
 
 
 def test_flush_returns_and_clears():
     state = RouterState(router_id=1, flush_interval=100)
     for i, t in enumerate((40, 10, 90, 10, 1)):
-        receive(state, wire(i + 1), t)
+        receive(state, wire(i + 1), t, 0)
     assert list(state.pending) == [100]
     batch = flush(state, 100)
     # true receipt order; the two receipts at 10 keep the order they were heard in
@@ -79,8 +88,8 @@ def test_flush_returns_and_clears():
     assert [r.local_receipt_time for r in batch] == [1, 10, 10, 40, 90]
     assert state.pending == {}
     # records arriving after a flush appear only in the next batch
-    receive(state, wire(6), 200)
-    assert state.pending == {200: [(200, wire(6))]}
+    receive(state, wire(6), 200, 150)
+    assert state.pending == {200: [(200, 150, wire(6))]}
     assert [r.frame_bytes for r in flush(state, 200)] == [wire(6)]
     assert state.pending == {}
 
@@ -88,38 +97,40 @@ def test_flush_returns_and_clears():
 def test_receipt_at_zero_files_under_the_first_flush():
     for interval in (1, 250, DAY):
         state = RouterState(router_id=1, flush_interval=interval)
-        receive(state, wire(), 0)
-        assert state.pending == {interval: [(0, wire())]}
+        receive(state, wire(), 0, 0)
+        assert state.pending == {interval: [(0, 0, wire())]}
 
 
 def test_receipt_on_a_flush_instant_files_under_that_instant():
     for interval, k in ((1, 1), (1, 7), (250, 1), (250, 2), (250, 9), (1, MAX_SIMTIME - 1)):
         state = RouterState(router_id=1, flush_interval=interval)
         at = k * interval
-        receive(state, wire(1), at)
-        receive(state, wire(2), at + 1)
-        expected = {at: [(at, wire(1))], at + interval: [(at + 1, wire(2))]}
+        receive(state, wire(1), at, at - 1)
+        receive(state, wire(2), at + 1, at)
+        expected = {at: [(at, at - 1, wire(1))], at + interval: [(at + 1, at, wire(2))]}
         if interval > 1:
-            receive(state, wire(3), at - 1)  # joins the batch due at `at`
-            expected[at].append((at - 1, wire(3)))
+            receive(state, wire(3), at - 1, at - 1)  # joins the batch due at `at`
+            expected[at].append((at - 1, at - 1, wire(3)))
         assert state.pending == expected
 
 
 def test_flushing_one_pending_batch_leaves_the_other():
     state = RouterState(router_id=4, flush_interval=1_000)
-    receive(state, wire(1), 1_500)
-    receive(state, wire(2), 500)
-    receive(state, wire(3), 1_999)
-    assert state.pending == {2_000: [(1_500, wire(1)), (1_999, wire(3))], 1_000: [(500, wire(2))]}
+    receive(state, wire(1), 1_500, 1_450)
+    receive(state, wire(2), 500, 450)
+    receive(state, wire(3), 1_999, 1_949)
+    assert state.pending == {
+        2_000: [(1_500, 1_450, wire(1)), (1_999, 1_949, wire(3))], 1_000: [(500, 450, wire(2))]
+    }
     assert [r.frame_bytes for r in flush(state, 2_000)] == [wire(1), wire(3)]
-    assert state.pending == {1_000: [(500, wire(2))]}
+    assert state.pending == {1_000: [(500, 450, wire(2))]}
     assert [r.frame_bytes for r in flush(state, 1_000)] == [wire(2)]
     assert state.pending == {}
 
 
 def test_stamp_is_the_local_clock_at_receipt_not_at_flush():
     state = RouterState(router_id=1, drift_ppm=100.0, sync_residual=5, flush_interval=DAY)
-    receive(state, wire(), 10_000_000)
+    receive(state, wire(), 10_000_000, 9_999_950)
     assert list(state.pending) == [DAY]
     [rec] = flush(state, DAY)
     assert rec.local_receipt_time == local_clock(state, 10_000_000) == 10_001_005
@@ -219,11 +230,11 @@ def test_transparency_forwarded_bytes_equal_received_bytes():
     state = RouterState(router_id=1, flush_interval=100)
     frames = [wire(i + 1) for i in range(10)]
     for i, data in enumerate(frames):
-        receive(state, data, i * 10)
+        receive(state, data, i * 10, i * 10)
     shipped = []
     shipped.extend(flush(state, 100))
     for i, data in enumerate(frames):
-        receive(state, data, 110 + i)
+        receive(state, data, 110 + i, 110 + i)
     shipped.extend(flush(state, 200))
     assert [r.frame_bytes for r in shipped] == frames + frames
 
@@ -258,13 +269,15 @@ def fifo_flush(state: FifoRouterState) -> list[ForwardedRecord]:
 def event_driven_transport(sc, deliveries, backhaul_delay):
     """Reference transport leg, with every receipt, flush and ingest an event.
 
-    `deliveries` are (router id, receipt time, frame bytes) in emit order.
-    Each receipt is a kernel event keyed by its emit order. Each FIFO router
-    flushes at every multiple of its flush interval up to the last possible
-    receipt; a non-empty batch is logged at once and ingested backhaul_delay
-    later as a center event. What is still buffered after that is drained
-    in router-id order. Returns the transport rows, the center and the
-    routers' drop count; the runner must match all three exactly.
+    `deliveries` are (router id, receipt time, emission time, frame), in any
+    order. Each receipt is a kernel event ranked by (receipt, emission,
+    sensor id, seq_no), as one clock over all sensors orders them. Each
+    FIFO router flushes at every multiple of its flush interval up to the
+    last possible receipt; a non-empty batch is logged at once and ingested
+    backhaul_delay later as a center event. What is still buffered after
+    that is drained in router-id order. Returns the transport rows, the
+    center and the routers' drop count; the runner must match all three
+    exactly.
     """
     kernel = Kernel()
     center = MonitoringCenter(nominal_latency=sc.channel.latency)
@@ -302,8 +315,9 @@ def event_driven_transport(sc, deliveries, backhaul_delay):
         if state.flush_interval <= end_of_receipt:
             first = state.flush_interval
             kernel.schedule(first, (RANK_ROUTER, state.router_id, first), flush_tick, state, first)
-    for seq, (router_id, at, data) in enumerate(deliveries):
-        kernel.schedule(at, (RANK_RECEIPT, router_id, seq), fifo_receive, states[router_id], data, at)
+    for router_id, at, sent_at, frame in deliveries:
+        rank = (RANK_RECEIPT, router_id, (sent_at, frame.sensor_id, frame.seq_no))
+        kernel.schedule(at, rank, fifo_receive, states[router_id], encode(frame), at)
     kernel.run_until(end_of_receipt + backhaul_delay)
     for router_id in sorted(states):
         batch = fifo_flush(states[router_id])
@@ -353,21 +367,21 @@ def _transport_scenario(rng, case):
     return sc, rng.randrange(0, 1_000)
 
 
-def test_post_kernel_shipping_matches_event_driven_transport(monkeypatch):
+def test_shipped_batches_match_event_driven_transport(monkeypatch):
     seen = Counter()
     original = radio.broadcast
     for case in range(40):
         sc, backhaul_delay = _transport_scenario(random.Random(case), case)
-        deliveries, emitted_at = [], []
+        deliveries = []
 
         def recording(frame, sensor_id, t, coverage, channel):
             out = original(frame, sensor_id, t, coverage, channel)
-            deliveries.extend((router_id, at, encode(frame)) for router_id, at in out)
-            emitted_at.extend(t for _ in out)
+            deliveries.extend((router_id, at, t, frame) for router_id, at in out)
             return out
 
         monkeypatch.setattr(radio, "broadcast", recording)
         result = runner.run_scenario(sc)
+        random.Random(case).shuffle(deliveries)  # the reference ranks receipts itself
         rows, center, dropped = event_driven_transport(sc, deliveries, backhaul_delay)
         assert result.transport_rows == rows, case
         assert result.center.timeline_rows() == center.timeline_rows(), case
@@ -377,12 +391,15 @@ def test_post_kernel_shipping_matches_event_driven_transport(monkeypatch):
         # The edges these runs must reach, counted over all cases.
         end = sc.horizon + sc.channel.latency + sc.channel.jitter
         interval = {r.router_id: r.flush_interval for r in sc.routers}
-        first_emit, drained = {}, {}  # router id -> flush instant after the end of receipts
-        for (router_id, at, _data), t in zip(deliveries, emitted_at):
+        first_emit, first_sender = {}, {}
+        drained = {}  # router id -> flush instant after the end of receipts
+        for router_id, at, t, frame in deliveries:
             f = interval[router_id]
             seen["receipt at 0"] += at == 0
             seen["receipt on a flush multiple"] += at > 0 and f > 1 and at % f == 0
             seen["same-ms receipts emitted apart"] += first_emit.setdefault((router_id, at), t) != t
+            sender = first_sender.setdefault((router_id, at, t), frame.sensor_id)
+            seen["same-ms receipts emitted together by two sensors"] += sender != frame.sensor_id
             due = max(1, -(-at // f)) * f
             if due > end:
                 drained[router_id] = due
@@ -393,7 +410,8 @@ def test_post_kernel_shipping_matches_event_driven_transport(monkeypatch):
         drained_dues = [drained[router_id] for router_id in sorted(drained)]
         seen["end-of-run flush instants out of router-id order"] += drained_dues != sorted(drained_dues)
     assert all(seen[edge] for edge in (
-        "receipt at 0", "receipt on a flush multiple", "same-ms receipts emitted apart", "F = 1",
+        "receipt at 0", "receipt on a flush multiple", "same-ms receipts emitted apart",
+        "same-ms receipts emitted together by two sensors", "F = 1",
         "1 < F dividing the end of receipts", "F past the end of receipts", "drain records on two routers",
         "end-of-run flush instants out of router-id order",
     )), seen

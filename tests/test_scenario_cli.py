@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -612,30 +613,34 @@ def test_a_delivery_no_router_heard_breaks_the_radio_identity(monkeypatch):
 
 
 @pytest.mark.parametrize("source", ["lossy_two_router", "quiet_day.json"])
-def test_run_counts_its_kernel_events_and_flushes(source, monkeypatch):
-    """The kernel fires sensor events only, one per distinct crossing instant
-    and one per status, and each (router, flush instant) a delivery falls
-    under is shipped exactly once."""
+def test_sensors_emit_at_each_wake_up_and_the_run_counts_its_flushes(source, monkeypatch):
+    """A sensor emits at its distinct crossing instants and its status
+    instants and nowhere else, and each (router, flush instant) a delivery
+    falls under is shipped exactly once."""
     sc = lossy_two_router_scenario() if source == "lossy_two_router" else scenario.load(SCENARIO_DIR / source)
     original = radio.broadcast
-    deliveries = []
+    emissions, deliveries = set(), []
 
     def recording(frame, sensor_id, t, coverage, channel):
         out = original(frame, sensor_id, t, coverage, channel)
+        emissions.add((sensor_id, t))
         deliveries.extend(out)
         return out
 
     monkeypatch.setattr(radio, "broadcast", recording)
     result = runner.run_scenario(sc)
-    sensor_events = sum(
-        len({t for t, _direction in crossing_times(result.signals[d.signal_id], d.p0, d.dp, sc.horizon)})
-        + sc.horizon // d.status_interval
+    wake_ups = {
+        (d.sensor_id, t)
         for d in sc.sensors
-    )
+        for t in (
+            {t for t, _direction in crossing_times(result.signals[d.signal_id], d.p0, d.dp, sc.horizon)}
+            | set(range(d.status_interval, sc.horizon + 1, d.status_interval))
+        )
+    }
     interval = {r.router_id: r.flush_interval for r in sc.routers}
     batches = {(rid, max(1, -(-at // interval[rid])) * interval[rid]) for rid, at in deliveries}
     assert deliveries and result.counters["delivered"] == len(deliveries)
-    assert result.counters["kernel_events"] == sensor_events
+    assert emissions == wake_ups
     assert result.counters["flushes"] == len(batches)
 
 
@@ -645,6 +650,38 @@ def test_rerun_same_seed_is_bit_identical(tmp_path):
     b = runner.write_outputs(runner.run_scenario(sc), tmp_path / "b")
     for name in a:
         assert a[name].read_bytes() == b[name].read_bytes()
+
+
+def test_sensor_listing_order_leaves_every_output_unchanged(tmp_path, monkeypatch):
+    """Two sensors on one grid of one signal emit at the same instants, so
+    with a little jitter their frames reach the one router in the same
+    millisecond, sent at the same instant. The runner runs sensors in id
+    order, so those ties resolve by sensor id however the sensors are
+    listed, and the four files are byte-identical."""
+    doc = minimal_config(
+        scenario_id="ties", horizon=6 * 3_600_000, channel={"loss_prob": 0.1, "latency": 50, "jitter": 3}
+    )
+    doc["signals"][0]["base_rate_per_hour"] = 10.0
+    listed = [dict(doc["sensors"][0], sensor_id=sensor_id, dP=0.1) for sensor_id in (3, 8)]
+    doc["coverage"] = {"3": [1], "8": [1]}
+    original = radio.broadcast
+    heard = set()  # (receipt, emission, sensor id)
+
+    def recording(frame, sensor_id, t, coverage, channel):
+        out = original(frame, sensor_id, t, coverage, channel)
+        heard.update((at, t, sensor_id) for _router_id, at in out)
+        return out
+
+    monkeypatch.setattr(radio, "broadcast", recording)
+    written = {}
+    for order, sensors in (("by_id", listed), ("reversed", listed[::-1])):
+        sc = scenario.validate(dict(doc, sensors=sensors))
+        assert [d.sensor_id for d in sc.sensors] == [d["sensor_id"] for d in sensors]
+        paths = runner.write_outputs(runner.run_scenario(sc), tmp_path / order)
+        written[order] = {name: path.read_bytes() for name, path in paths.items()}
+    ties = Counter((at, t) for at, t, _sensor_id in heard)
+    assert sum(count > 1 for count in ties.values()) > 10  # receipts of both sensors, sent together
+    assert written["reversed"] == written["by_id"]
 
 
 def test_seed_override_changes_lossy_transport(tmp_path):

@@ -12,7 +12,6 @@ from asmisim.sensor import (
     sampling_driver,
 )
 from asmisim.signalgen import MS_PER_HOUR, crossing_times, step_load_signal, value_at
-from asmisim.simkernel import Kernel
 
 H6 = 6 * MS_PER_HOUR
 DAY = 24 * MS_PER_HOUR
@@ -133,11 +132,9 @@ def test_seq_no_counts_all_frames_without_gaps():
 
 def test_driver_constant_signal_only_status():
     sig = step_load_signal(base_rate_per_hour=0.0, horizon=DAY)
-    kernel = Kernel()
     emitted = []
     d = monotonic(status_interval=H6)
-    sampling_driver(d, sig, kernel, DAY, lambda f, t: emitted.append((t, f)))
-    kernel.run_until(DAY)
+    sampling_driver(d, sig, DAY, lambda f, t: emitted.append((t, f)))
     assert len(emitted) == 4  # 24 h / 6 h
     assert all(f.msg_type is MsgType.STATUS for _, f in emitted)
     assert [t for t, _ in emitted] == [H6, 2 * H6, 3 * H6, 4 * H6]
@@ -146,22 +143,18 @@ def test_driver_constant_signal_only_status():
 @pytest.mark.parametrize("interval", [DAY - 1, DAY, DAY + 1, 7 * MS_PER_HOUR])
 def test_driver_status_fires_at_each_multiple_of_its_interval_up_to_the_horizon(interval):
     sig = step_load_signal(base_rate_per_hour=0.0, horizon=DAY)
-    kernel = Kernel()
     emitted = []
     d = monotonic(status_interval=interval)
-    sampling_driver(d, sig, kernel, DAY, lambda f, t: emitted.append((t, f.msg_type, f.seq_no)))
-    kernel.run_until(DAY + interval)
+    sampling_driver(d, sig, DAY, lambda f, t: emitted.append((t, f.msg_type, f.seq_no)))
     expected = range(interval, DAY + 1, interval)
     assert emitted == [(t, MsgType.STATUS, k) for k, t in enumerate(expected, start=1)]
 
 
 def test_driver_event_times_equal_oracle_crossings():
     sig = step_load_signal(base_rate_per_hour=1.0, horizon=2 * MS_PER_HOUR)
-    kernel = Kernel()
     emitted = []
     d = monotonic(dp=0.5, status_interval=DAY)
-    state = sampling_driver(d, sig, kernel, 2 * MS_PER_HOUR, lambda f, t: emitted.append((t, f)))
-    kernel.run_until(2 * MS_PER_HOUR)
+    state = sampling_driver(d, sig, 2 * MS_PER_HOUR, lambda f, t: emitted.append((t, f)))
     event_times = [t for t, f in emitted if f.msg_type is MsgType.EVENT]
     # 1 kWh/h with dp 0.5 -> a crossing every 30 minutes
     assert event_times == [30 * 60_000, 60 * 60_000, 90 * 60_000, 120 * 60_000]
@@ -177,36 +170,19 @@ def test_driver_conservation_bound():
         intervals=[(MS_PER_HOUR, 2 * MS_PER_HOUR, 3.3)],
         horizon=horizon,
     )
-    kernel = Kernel()
     d = monotonic(dp=0.25, status_interval=DAY)
-    state = sampling_driver(d, sig, kernel, horizon, lambda f, t: None)
-    kernel.run_until(horizon)
+    state = sampling_driver(d, sig, horizon, lambda f, t: None)
     consumed = value_at(sig, horizon)
     assert state.ref_level_index * d.dp <= consumed < (state.ref_level_index + 1) * d.dp
-
-
-def test_simultaneous_crossings_fire_lower_sensor_id_first():
-    horizon = MS_PER_HOUR
-    sig = step_load_signal(base_rate_per_hour=2.0, horizon=horizon)
-    kernel = Kernel()
-    emitted = []
-    for sensor_id in (9, 3):
-        d = monotonic(dp=1.0, sensor_id=sensor_id, status_interval=DAY)
-        sampling_driver(d, sig, kernel, horizon, lambda f, t: emitted.append(f.sensor_id))
-    kernel.run_until(horizon)
-    # both sensors cross at 30 and 60 minutes; id 3 reports first each time
-    assert emitted == [3, 9, 3, 9]
 
 
 def test_event_precedes_status_at_shared_instant():
     horizon = MS_PER_HOUR
     sig = step_load_signal(base_rate_per_hour=1.0, horizon=horizon)
-    kernel = Kernel()
     emitted = []
     # crossing every 30 min, status every 30 min: instants coincide
     d = monotonic(dp=0.5, status_interval=30 * 60_000)
-    sampling_driver(d, sig, kernel, horizon, lambda f, t: emitted.append((t, f.msg_type, f.seq_no)))
-    kernel.run_until(horizon)
+    sampling_driver(d, sig, horizon, lambda f, t: emitted.append((t, f.msg_type, f.seq_no)))
     assert emitted == [
         (1_800_000, MsgType.EVENT, 1),
         (1_800_000, MsgType.STATUS, 2),
@@ -215,25 +191,15 @@ def test_event_precedes_status_at_shared_instant():
     ]
 
 
-def test_driver_keeps_at_most_two_pending_events():
+def test_driver_merges_crossings_and_statuses_in_time_order():
     sig = step_load_signal(
         base_rate_per_hour=0.05,
         intervals=[(MS_PER_HOUR, 2 * MS_PER_HOUR, 6.0), (10 * MS_PER_HOUR, 10 * MS_PER_HOUR + 600_000, 2.5)],
         horizon=DAY,
     )
-    kernel = Kernel()
     emitted = []
-    pending = []
     d = monotonic(dp=0.1, status_interval=60_000)
-
-    def emit(frame, t):
-        emitted.append((t, frame.msg_type, frame.seq_no))
-        pending.append(kernel.pending())
-
-    sampling_driver(d, sig, kernel, DAY, emit)
-    assert kernel.pending() <= 2
-    kernel.run_until(DAY)
-    assert max(pending) <= 2
+    sampling_driver(d, sig, DAY, lambda f, t: emitted.append((t, f.msg_type, f.seq_no)))
     crossings = [t for t, _ in crossing_times(sig, d.p0, d.dp, DAY)]
     statuses = set(range(60_000, DAY + 1, 60_000))
     expected = []
@@ -243,8 +209,8 @@ def test_driver_keeps_at_most_two_pending_events():
             expected.append((t, MsgType.STATUS))
     assert [(t, m) for t, m, _ in emitted] == expected
     assert [seq for _, _, seq in emitted] == list(range(1, len(expected) + 1))
-    shared = set(crossings) & statuses
-    assert shared, "the load must put crossings on status instants"
+    assert set(crossings) & statuses, "the load must put crossings on status instants"
+    assert set(crossings) - statuses, "and crossings between them"
 
 
 def test_sensors_with_one_key_share_one_solve(monkeypatch):
@@ -260,7 +226,6 @@ def test_sensors_with_one_key_share_one_solve(monkeypatch):
         return real(signal, p0, dp, until)
 
     monkeypatch.setattr(sensor, "crossing_times", counted)
-    kernel = Kernel()
     emitted = {1: [], 2: [], 3: []}
 
     def emit(frame, t):
@@ -269,8 +234,7 @@ def test_sensors_with_one_key_share_one_solve(monkeypatch):
 
     descriptors = [monotonic(0.1, sensor_id=1), monotonic(0.1, sensor_id=2), monotonic(0.25, sensor_id=3)]
     for d in descriptors:
-        sampling_driver(d, sig, kernel, horizon, emit)
-    kernel.run_until(horizon)
+        sampling_driver(d, sig, horizon, emit)
     assert solved == [(0.0, 0.1, horizon), (0.0, 0.25, horizon)]
     assert isinstance(sig._instants[(0.0, 0.1, horizon)], tuple)  # no caller can change a shared solve
     for d in descriptors:

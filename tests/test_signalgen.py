@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -9,8 +8,6 @@ from asmisim.signalgen import (
     MS_PER_HOUR,
     NonPositiveDelta,
     OutOfHorizon,
-    Signal,
-    SignalKind,
     crossing_times,
     diurnal_signal,
     reach_tolerance,

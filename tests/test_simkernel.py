@@ -2,15 +2,14 @@ import pytest
 
 from asmisim.simkernel import (
     MAX_SIMTIME,
-    RANK_SENSOR,
     Kernel,
     SchedulingInPast,
     SimTimeOverflow,
     as_simtime,
 )
 
-# A second actor class, ranked after the sensors, for the tie-break tests.
-RANK_ROUTER = 3
+# Two actor classes for the tie-break tests; the second is ranked after the first.
+RANK_SENSOR, RANK_ROUTER = 1, 3
 
 
 def test_fires_in_time_order():
