@@ -17,9 +17,6 @@ from operator import attrgetter
 from .signalgen import Signal, value_at
 from .simkernel import SimTime
 
-# Same on-air cost per message as the event pipeline's fixed frame.
-AMI_FRAME_BYTES = 14
-
 
 class NonPositiveInterval(Exception):
     """Polling or grid interval must be a positive number of ms."""

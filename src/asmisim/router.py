@@ -48,7 +48,7 @@ class RouterState:
     # flush instant -> [(true receipt time, emission time, frame bytes), ...] as heard
     pending: dict[SimTime, list[tuple[SimTime, SimTime, bytes]]] = field(default_factory=dict)
     received: int = field(default=0, init=False)  # every receipt, dropped or filed
-    dropped: int = 0
+    dropped: int = field(default=0, init=False)
 
 
 def local_clock(state: RouterState, true_t: SimTime) -> SimTime:

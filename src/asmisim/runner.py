@@ -34,6 +34,7 @@ from pathlib import Path
 from . import baseline as ami
 from . import radio, router, sensor
 from .center import TIMELINE_CSV_COLUMNS, MonitoringCenter
+from .pi_protocol import FRAME_LEN
 from .rng import derive_seed
 from .scenario import Scenario
 from .sensor import SensorState
@@ -206,7 +207,7 @@ def _comparison_rows(result: RunResult) -> list[tuple]:
                     report.mean,
                     report.rmse,
                     count,
-                    count * ami.AMI_FRAME_BYTES,
+                    count * FRAME_LEN,
                 )
             )
     return rows

@@ -10,14 +10,13 @@ Two families cover the monitored parameter classes:
 
 Evaluation is pure: a Signal with a fixed seed always yields the same value
 at the same time, regardless of evaluation order. What a Signal learns while
-it is evaluated (its noise walk, its step-load piece table, its breakpoint
+it is evaluated (its noise walk, its step-load interval terms, its breakpoint
 tables) is built once, kept on the Signal and shared by every caller.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -87,7 +86,7 @@ class Signal:
     Only kind, spec, unit, seed and horizon define the signal; they alone
     take part in == and repr. The remaining fields are built lazily, once,
     and then read by every caller: the noise walk (_walk), the step-load
-    piece table that value_at looks terms up in (_load_pieces), the
+    interval terms that value_at sums (_load_terms), the
     breakpoint table of each horizon that crossing_times walks
     (_breakpoint_tables), and the crossing instants of each
     (p0, dp, horizon) that sensor.sampling_driver walks (_instants).
@@ -100,7 +99,7 @@ class Signal:
     horizon: SimTime | None = None
     _walk: list[float] = field(default_factory=lambda: [0.0], compare=False, repr=False)
     _walk_rng: object = field(default=None, compare=False, repr=False)
-    _load_pieces: tuple | None = field(default=None, compare=False, repr=False)
+    _load_terms: tuple | None = field(default=None, compare=False, repr=False)
     _breakpoint_tables: dict = field(default_factory=dict, compare=False, repr=False)
     _instants: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -116,28 +115,6 @@ class Signal:
                 step = self._walk_rng.gauss(0.0, spec.noise_sigma)
                 self._walk.append(self._walk[-1] + step)
         return self._walk[idx]
-
-
-def _load_pieces(spec: StepLoadSpec) -> tuple[list[SimTime], list[tuple]]:
-    """The step-load piece table: change points, and each piece's terms.
-
-    An interval contributes from start + 1 on; from end on its term is the
-    constant rate * (end - start) / MS_PER_HOUR, and before that it is kept
-    as (start, rate). pieces[bisect_right(edges, t)] holds the terms that
-    contribute at t, in the intervals' spec order. An interval with
-    end <= start never contributes.
-    """
-    live = [
-        (iv.start, iv.end, (iv.start, iv.rate_per_hour), iv.rate_per_hour * (iv.end - iv.start) / MS_PER_HOUR)
-        for iv in spec.intervals
-        if iv.end > iv.start
-    ]
-    edges = sorted({edge for start, end, _, _ in live for edge in (start + 1, end)})
-    pieces = [()]
-    for at in edges:
-        terms = (constant if at >= end else running for start, end, running, constant in live if at > start)
-        pieces.append(tuple(terms))
-    return edges, pieces
 
 
 def step_load_signal(
@@ -172,25 +149,26 @@ def value_at(signal: Signal, t: SimTime) -> float:
     """Evaluate the ground-truth parameter at integer millisecond t.
 
     A step load is base * t / MS_PER_HOUR plus, in spec order, each
-    interval's rate * overlap / MS_PER_HOUR; the terms come from the
-    signal's piece table, so only the intervals that contribute at t are
-    visited, and the float operations and their order are those of a loop
-    over every interval.
+    interval's rate * overlap / MS_PER_HOUR. The signal keeps one term per
+    interval with end > start, (start, end, rate, whole), where whole is the
+    term once t >= end; an interval contributes only for t > start. So the
+    sum is, bit for bit, that of a loop over every interval's overlap.
     """
     if t < 0 or (signal.horizon is not None and t > signal.horizon):
         raise OutOfHorizon(f"t={t} outside [0, {signal.horizon}]")
     spec = signal.spec
     if signal.kind is SignalKind.CUMULATIVE:
-        if signal._load_pieces is None:
-            signal._load_pieces = _load_pieces(spec)
-        edges, pieces = signal._load_pieces
+        terms = signal._load_terms
+        if terms is None:
+            terms = signal._load_terms = tuple(
+                (iv.start, iv.end, iv.rate_per_hour, iv.rate_per_hour * (iv.end - iv.start) / MS_PER_HOUR)
+                for iv in spec.intervals
+                if iv.end > iv.start
+            )
         total = spec.base_rate_per_hour * t / MS_PER_HOUR
-        for term in pieces[bisect_right(edges, t)]:
-            if term.__class__ is float:
-                total += term
-            else:
-                start, rate = term
-                total += rate * (t - start) / MS_PER_HOUR
+        for start, end, rate, whole in terms:
+            if t > start:
+                total += whole if t >= end else rate * (t - start) / MS_PER_HOUR
         return total
     # Fold into [0, period) before multiplying by 2*pi so values at whole
     # periods are exact (sin(2*pi*k) would not be).

@@ -1,4 +1,5 @@
-"""Acceptance suite: eight end-to-end criteria, one test per criterion.
+"""Acceptance suite: eight end-to-end criteria, one test per criterion, and
+a second test of criterion 3 with drifting routers and jitter.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS line per
 criterion with the measured numbers. Tolerances are pinned here and not
@@ -240,6 +241,67 @@ def test_criterion_3_self_synchronization_under_loss():
         f"reconstruction equals true reference at 100% of {checked_frames} accepted frames "
         f"across loss 0.1/0.3/0.5",
     )
+
+
+def sent_by_seq(signal, descriptor, horizon):
+    """seq_no -> (msg_type, level_index) of every frame a sensor sends.
+
+    Derived from the crossing instants and the status schedule alone: seq 1
+    is the first frame, each crossing moves the level one quantum, and the
+    EVENTs at an instant go before the STATUS due at that instant.
+    """
+    crossings = [(t, 0, direction) for t, direction in crossing_times(signal, descriptor.p0, descriptor.dp, horizon)]
+    statuses = [(t, 1, 0) for t in range(descriptor.status_interval, horizon + 1, descriptor.status_interval)]
+    level, sent = 0, {}
+    for seq, (_t, is_status, direction) in enumerate(sorted(crossings + statuses, key=lambda f: f[:2]), 1):
+        level += direction
+        sent[seq] = (MsgType.STATUS if is_status else MsgType.EVENT, level)
+    return sent
+
+
+def test_criterion_3_by_seq_no_under_drift_jitter_and_loss():
+    """Criterion 3 with drifting, offset routers and jitter: every accepted
+    entry carries the type and level its seq_no was sent with. The order
+    of the timeline is not checked."""
+    load_spec = StepLoadSpec(
+        base_rate_per_hour=0.4,
+        intervals=(
+            LoadInterval(2 * MS_PER_HOUR, 4 * MS_PER_HOUR, 3.0),
+            LoadInterval(9 * MS_PER_HOUR, 10 * MS_PER_HOUR, 6.0),
+        ),
+    )
+    ambient_spec = DiurnalSpec(mean=20.0, amplitude=2.0, period=DAY_MS, phase=0, noise_sigma=0.05)
+    sensors = [
+        SensorDescriptor(1, "electricity", "kWh", 0.1, 0.0, SensorMode.MONOTONIC, MS_PER_HOUR, "load"),
+        SensorDescriptor(2, "temperature", "degC", 0.25, 20.0, SensorMode.BIDIRECTIONAL, MS_PER_HOUR, "room"),
+    ]
+    sc = build_scenario(
+        "drifting_lossy",
+        seed=77,
+        horizon=DAY_MS,
+        signal_defs=[
+            SignalDef("load", SignalKind.CUMULATIVE, "kWh", load_spec),
+            SignalDef("room", SignalKind.AMBIENT, "degC", ambient_spec),
+        ],
+        sensors=sensors,
+        routers=[
+            RouterDef(router_id=1, flush_interval=30_000, drift_ppm=40.0, sync_residual=7),
+            RouterDef(router_id=2, flush_interval=45_000, drift_ppm=-35.0, sync_residual=-4),
+        ],
+        channel=ChannelSpec(loss_prob=0.3, latency=50, jitter=30),
+    )
+    result = runner.run_scenario(sc)
+    assert result.counters["radio_lost"] > 0, "loss was supposed to bite"
+    tally = []
+    for descriptor in sensors:
+        sent = sent_by_seq(result.signals[descriptor.signal_id], descriptor, sc.horizon)
+        entries = result.center.timeline(descriptor.sensor_id)
+        assert len(sent) == result.sensor_states[descriptor.sensor_id].seq_no
+        assert 0 < len(entries) < len(sent), "loss on both links must take some frames"
+        for entry in entries:
+            assert (entry.msg_type, entry.level_index) == sent[entry.seq_no], (descriptor.sensor_id, entry)
+        tally.append(f"{len(entries)} of {len(sent)}")
+    _passed(3, "self-synchronization by seq_no", f"{' and '.join(tally)} accepted entries match what was sent")
 
 
 def test_criterion_4_router_count_invariance(tmp_path):

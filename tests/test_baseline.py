@@ -4,7 +4,6 @@ import random
 import pytest
 
 from asmisim.baseline import (
-    AMI_FRAME_BYTES,
     AmiSample,
     ErrorReport,
     NonPositiveInterval,
@@ -190,7 +189,3 @@ def test_matched_budget_never_undershoots():
         assert polls >= n
         # and dt is the largest such interval
         assert horizon // (dt + 1) < n
-
-
-def test_frame_bytes_constant():
-    assert AMI_FRAME_BYTES == 14

@@ -1,7 +1,7 @@
 """asmisim has no runtime dependency: every import in the package is
-relative or names a module of the standard library. And neither the package
-nor its tests carry a dead import: each name a module imports is read there
-or exported."""
+relative or names a module of the standard library. And neither the package,
+its tests nor its benchmark carry a dead import: each name a module imports
+is read there or exported."""
 
 import ast
 import sys
@@ -9,6 +9,7 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "asmisim"
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def foreign_imports(source: str) -> list[str]:
@@ -51,8 +52,8 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_every_import_is_read_or_exported():
-    sources = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
-    assert len(sources) >= 20
+    sources = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    assert len(sources) >= 25
     unused = {f"{path.parent.name}/{path.name}": unused_imports(path.read_text()) for path in sources}
     assert {name: found for name, found in unused.items() if found} == {}
 

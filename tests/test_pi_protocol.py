@@ -22,6 +22,11 @@ from asmisim.pi_protocol import (
 from golden_frames import GOLDEN_FRAMES, body_oracle, crc8_oracle
 
 
+def test_frame_len_constant():
+    # Both pipelines in comparison.csv pay this many bytes per message.
+    assert FRAME_LEN == 14
+
+
 def test_crc8_check_value():
     assert crc8(b"123456789") == 0xF4
 

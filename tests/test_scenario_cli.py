@@ -4,7 +4,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -771,14 +774,14 @@ def test_comparison_rows_equal_reconstruct_and_error_stats():
         ]
         sup, mean, rmse = _sequential_error_report(errors)
         expected.append(
-            ("pinned", "ASMI", sensor_id, sup, mean, rmse, messages, messages * baseline.AMI_FRAME_BYTES)
+            ("pinned", "ASMI", sensor_id, sup, mean, rmse, messages, messages * pi_protocol.FRAME_LEN)
         )
         dt = baseline.matched_budget_interval(sc.horizon, messages)
         samples = baseline.poll(signal, dt, sc.horizon)
         report = baseline.error_stats(signal, samples, sc.horizon, sc.error_grid, value_at(signal, 0))
         polls = len(samples)
         expected.append(
-            ("pinned", "AMI", sensor_id, report.sup, report.mean, report.rmse, polls, polls * baseline.AMI_FRAME_BYTES)
+            ("pinned", "AMI", sensor_id, report.sup, report.mean, report.rmse, polls, polls * pi_protocol.FRAME_LEN)
         )
     assert result.comparison_rows == expected
 
@@ -1094,6 +1097,39 @@ def test_cli_reports_unparseable_config(command, data, tmp_path, capsys):
 
 def test_cli_validate_missing_file(capsys):
     assert cli.main(["validate", "--config", "/nonexistent/nope.json"]) == 1
+
+
+def test_cli_validate_rejects_a_document_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text("[1, 2]")
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: <document>: config must be a JSON object\n"
+    assert captured.out == ""
+
+
+def test_cli_run_reports_an_output_path_it_cannot_write(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    assert cli.main(["run", "--config", str(SCENARIO_DIR / "quiet_day.json"), "--out", str(taken)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: writing outputs: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert taken.read_text() == "not a directory"
+
+
+def test_python_dash_m_asmisim_runs_the_cli():
+    src = Path(cli.__file__).resolve().parent.parent
+    completed = subprocess.run(
+        [sys.executable, "-m", "asmisim", "validate", "--config", str(SCENARIO_DIR / "quiet_day.json")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.startswith("ok: quiet_day: ")
 
 
 def test_cli_run_reports_invalid_config_like_validate(tmp_path, capsys):

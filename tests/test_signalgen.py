@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -299,8 +300,9 @@ def test_crossing_times_are_sorted_and_within_horizon():
 def interval_loop_oracle(signal, t):
     """Reference step-load value: base plus every interval's overlap, in spec order.
 
-    value_at looks its terms up in a piece table instead and must match this
-    loop bit for bit, so results are compared with ==.
+    value_at reads its terms from the signal instead, with each finished
+    interval's term computed once, and must match this loop bit for bit, so
+    results are compared with ==.
     """
     spec = signal.spec
     total = spec.base_rate_per_hour * t / MS_PER_HOUR
@@ -344,6 +346,27 @@ def test_value_at_matches_interval_loop_bit_for_bit():
             probes.update(t for t in (iv.start, iv.start + 1, iv.end - 1, iv.end) if 0 <= t <= horizon)
         for t in rng.sample(sorted(probes), len(probes)):
             assert value_at(sig, t) == interval_loop_oracle(sig, t), (sig.spec, t)
+
+
+def test_many_overlapping_intervals_take_memory_linear_in_their_count():
+    """3 000 intervals that all span midday: the first value_at builds the
+    signal's terms in well under 1 MB (a table of every piece's running
+    intervals would hold about 100 MB), and every probe still matches the
+    interval loop bit for bit."""
+    rng = random.Random(3000)
+    half = DAY_MS // 2
+    intervals = [(rng.randrange(half), rng.randrange(half, DAY_MS), rng.uniform(0.0, 5.0)) for _ in range(3_000)]
+    sig = step_load_signal(0.3, intervals, horizon=DAY_MS)
+    tracemalloc.start()
+    try:
+        value_at(sig, half)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    probes = sorted({t for start, end, _ in intervals for t in (start, start + 1, end - 1, end)})
+    for t in rng.sample(probes, 400):
+        assert value_at(sig, t) == interval_loop_oracle(sig, t), t
 
 
 def test_signal_equality_and_repr_ignore_evaluation_history():
