@@ -40,13 +40,13 @@ class ErrorReport:
     n_points: int
 
 
-def poll(signal: Signal, dt: SimTime, horizon: SimTime) -> list[AmiSample]:
-    """Sample the signal at dt, 2*dt, ... up to and including the horizon."""
+def poll(signal: Signal, dt: SimTime) -> list[AmiSample]:
+    """Sample the signal at dt, 2*dt, ... up to and including its horizon."""
     if dt <= 0:
         raise NonPositiveInterval(f"dt must be positive, got {dt}")
     samples = []
     k = 1
-    while k * dt <= horizon:
+    while k * dt <= signal.horizon:
         t = k * dt
         samples.append(AmiSample(t=t, value=value_at(signal, t)))
         k += 1
@@ -99,16 +99,18 @@ def hold_error(
 def error_stats(
     truth: Signal,
     samples: list[AmiSample],
-    horizon: SimTime,
     grid: SimTime = 60_000,
     p0: float = 0.0,
 ) -> ErrorReport:
-    """Sup/mean/RMS absolute error of the hold against truth on a uniform grid."""
+    """Sup/mean/RMS absolute error of the hold against truth on a uniform grid.
+
+    The grid is 0, grid, 2*grid, ... up to and including truth.horizon.
+    """
     if grid <= 0:
         raise NonPositiveInterval(f"grid must be positive, got {grid}")
     ordered = sorted(samples, key=lambda s: s.t)
     return hold_error(
-        [value_at(truth, t) for t in range(0, horizon + 1, grid)],
+        [value_at(truth, t) for t in range(0, truth.horizon + 1, grid)],
         grid,
         [s.t for s in ordered],
         [s.value for s in ordered],

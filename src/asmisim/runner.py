@@ -123,9 +123,8 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
 
     sensor_states: dict[int, SensorState] = {}
     for descriptor in sorted(scenario.sensors, key=lambda d: d.sensor_id):
-        sensor_states[descriptor.sensor_id] = sensor.sampling_driver(
-            descriptor, signals[descriptor.signal_id], scenario.horizon, emit
-        )
+        signal = signals[descriptor.signal_id]
+        sensor_states[descriptor.sensor_id] = sensor.sampling_driver(descriptor, signal, emit)
 
     # Every batch is complete. Those due after the last receipt go last, by router id.
     batches = sorted(
@@ -192,7 +191,7 @@ def _comparison_rows(result: RunResult) -> list[tuple]:
                 dt = ami.matched_budget_interval(scenario.horizon, max(1, messages))
             else:
                 dt = scenario.baseline.dt
-            samples = ami.poll(signal, dt, scenario.horizon)
+            samples = ami.poll(signal, dt)
             ami_report = ami.hold_error(
                 truth, grid, [s.t for s in samples], [s.value for s in samples], truth[0]
             )

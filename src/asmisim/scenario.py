@@ -286,6 +286,8 @@ def validate(doc: dict) -> Scenario:
         try:
             sensor_id = int(key)
         except (TypeError, ValueError):
+            sensor_id = None
+        if sensor_id is None or str(sensor_id) != key:  # int() also reads "07", " 7", "+7", "7_0"
             errors.append((path, "key must be a sensor id"))
             continue
         if sensor_id not in sensor_locations:

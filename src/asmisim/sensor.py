@@ -109,33 +109,28 @@ def heartbeat(
     return PiFrame(MsgType.STATUS, descriptor.sensor_id, state.seq_no, state.ref_level_index)
 
 
-def sampling_driver(
-    descriptor: SensorDescriptor,
-    signal: Signal,
-    horizon: SimTime,
-    emit,
-) -> SensorState:
-    """Run a sensor over the whole horizon in one loop, in time order.
+def sampling_driver(descriptor: SensorDescriptor, signal: Signal, emit) -> SensorState:
+    """Run a sensor over the signal's whole horizon in one loop, in time order.
 
     Observations fall at the exact crossing instants the signal oracle
     reports, so emission times match true crossing times to the
     millisecond; each STATUS falls at `state.next_status_at`, which only
-    `heartbeat` advances, up to the horizon. Sensors with the same
-    (p0, dp, horizon) on one signal share one solve: the signal keeps its
-    instants as a tuple. The loop walks those instants and the status
-    schedule together, EVENTs before the STATUS at a shared instant, and
-    calls emit(frame, t) for every frame. It reads no other sensor.
+    `heartbeat` advances, up to `signal.horizon`. Sensors with the same
+    (p0, dp) on one signal share one solve: the signal keeps its instants
+    as a tuple. The loop walks those instants and the status schedule
+    together, EVENTs before the STATUS at a shared instant, and calls
+    emit(frame, t) for every frame. It reads no other sensor.
     """
     state = new_state(descriptor)
-    key = (descriptor.p0, descriptor.dp, horizon)
+    key = (descriptor.p0, descriptor.dp)
     if key not in signal._instants:
-        crossings = crossing_times(signal, descriptor.p0, descriptor.dp, horizon)
+        crossings = crossing_times(signal, descriptor.p0, descriptor.dp)
         signal._instants[key] = tuple(sorted({t for t, _direction in crossings}))
     for t in signal._instants[key]:
         while (due := state.next_status_at) < t:
             emit(heartbeat(state, descriptor, due), due)
         for frame in observe(state, descriptor, t, value_at(signal, t)):
             emit(frame, t)
-    while (due := state.next_status_at) <= horizon:
+    while (due := state.next_status_at) <= signal.horizon:
         emit(heartbeat(state, descriptor, due), due)
     return state

@@ -8,10 +8,13 @@ Two families cover the monitored parameter classes:
   a diurnal sinusoid plus a seeded random walk that is piecewise-constant
   between noise ticks, so exact crossing instants are well defined.
 
-Evaluation is pure: a Signal with a fixed seed always yields the same value
-at the same time, regardless of evaluation order. What a Signal learns while
-it is evaluated (its noise walk, its step-load interval terms, its breakpoint
-tables) is built once, kept on the Signal and shared by every caller.
+A Signal is defined over one horizon [0, horizon], which it carries; every
+function that takes a Signal evaluates it over that horizon and asks for no
+other. Evaluation is pure: a Signal with a fixed seed always yields the same
+value at the same time, regardless of evaluation order. What a Signal learns
+while it is evaluated (its noise walk, its step-load interval terms, its
+breakpoint table) is built once, kept on the Signal and shared by every
+caller.
 """
 
 from __future__ import annotations
@@ -84,23 +87,24 @@ class Signal:
     """A ground-truth parameter and the tables its evaluations fill in.
 
     Only kind, spec, unit, seed and horizon define the signal; they alone
-    take part in == and repr. The remaining fields are built lazily, once,
-    and then read by every caller: the noise walk (_walk), the step-load
-    interval terms that value_at sums (_load_terms), the
-    breakpoint table of each horizon that crossing_times walks
-    (_breakpoint_tables), and the crossing instants of each
-    (p0, dp, horizon) that sensor.sampling_driver walks (_instants).
+    take part in == and repr. horizon is required and keyword-only: the
+    signal is evaluated on [0, horizon] and nowhere else. The remaining
+    fields are built lazily, once, and then read by every caller: the noise
+    walk (_walk), the step-load interval terms that value_at sums
+    (_load_terms), the breakpoint table that crossing_times walks
+    (_breakpoint_table), and the crossing instants of each (p0, dp) that
+    sensor.sampling_driver walks (_instants).
     """
 
     kind: SignalKind
     spec: StepLoadSpec | DiurnalSpec
     unit: str = ""
     seed: int = 0
-    horizon: SimTime | None = None
+    horizon: SimTime = field(kw_only=True)
     _walk: list[float] = field(default_factory=lambda: [0.0], compare=False, repr=False)
     _walk_rng: object = field(default=None, compare=False, repr=False)
     _load_terms: tuple | None = field(default=None, compare=False, repr=False)
-    _breakpoint_tables: dict = field(default_factory=dict, compare=False, repr=False)
+    _breakpoint_table: tuple | None = field(default=None, compare=False, repr=False)
     _instants: dict = field(default_factory=dict, compare=False, repr=False)
 
     def _noise_at(self, t: SimTime) -> float:
@@ -121,7 +125,8 @@ def step_load_signal(
     base_rate_per_hour: float = 0.0,
     intervals: tuple[tuple[SimTime, SimTime, float], ...] | list = (),
     unit: str = "kWh",
-    horizon: SimTime | None = None,
+    *,
+    horizon: SimTime,
 ) -> Signal:
     spec = StepLoadSpec(
         base_rate_per_hour=base_rate_per_hour,
@@ -139,14 +144,15 @@ def diurnal_signal(
     noise_step: SimTime = 60_000,
     unit: str = "degC",
     seed: int = 0,
-    horizon: SimTime | None = None,
+    *,
+    horizon: SimTime,
 ) -> Signal:
     spec = DiurnalSpec(mean, amplitude, period, phase, noise_sigma, noise_step)
     return Signal(kind=SignalKind.AMBIENT, spec=spec, unit=unit, seed=seed, horizon=horizon)
 
 
 def value_at(signal: Signal, t: SimTime) -> float:
-    """Evaluate the ground-truth parameter at integer millisecond t.
+    """Evaluate the ground-truth parameter at integer millisecond t in [0, signal.horizon].
 
     A step load is base * t / MS_PER_HOUR plus, in spec order, each
     interval's rate * overlap / MS_PER_HOUR. The signal keeps one term per
@@ -154,7 +160,7 @@ def value_at(signal: Signal, t: SimTime) -> float:
     term once t >= end; an interval contributes only for t > start. So the
     sum is, bit for bit, that of a loop over every interval's overlap.
     """
-    if t < 0 or (signal.horizon is not None and t > signal.horizon):
+    if t < 0 or t > signal.horizon:
         raise OutOfHorizon(f"t={t} outside [0, {signal.horizon}]")
     spec = signal.spec
     if signal.kind is SignalKind.CUMULATIVE:
@@ -176,13 +182,14 @@ def value_at(signal: Signal, t: SimTime) -> float:
     return spec.mean + spec.amplitude * math.sin(2.0 * math.pi * frac) + signal._noise_at(t)
 
 
-def _breakpoints(signal: Signal, horizon: SimTime) -> list[SimTime]:
-    """Integer times splitting [0, horizon] into monotone, continuous pieces.
+def _breakpoints(signal: Signal) -> list[SimTime]:
+    """Integer times splitting [0, signal.horizon] into monotone, continuous pieces.
 
     Between consecutive breakpoints the signal restricted to the millisecond
     lattice is monotone and jump-free; jumps (noise ticks) and sinusoid
     extrema always land on a breakpoint or inside a 1 ms gap between two.
     """
+    horizon = signal.horizon
     pts = {0, horizon}
     spec = signal.spec
     if signal.kind is SignalKind.CUMULATIVE:
@@ -208,21 +215,22 @@ def _breakpoints(signal: Signal, horizon: SimTime) -> list[SimTime]:
     return sorted(p for p in pts if 0 <= p <= horizon)
 
 
-def _breakpoint_table(signal: Signal, horizon: SimTime) -> tuple:
+def _breakpoint_table(signal: Signal) -> tuple:
     """(b, value at b - 1, value at b) for t = 0 and each later breakpoint.
 
-    The value at b - 1 is None when b - 1 is the previous breakpoint, whose
-    value the row before already holds. Built once per horizon and kept on
-    the signal, so every sensor's crossing search walks the same table.
+    The breakpoints are _breakpoints(signal), over the signal's horizon. The
+    value at b - 1 is None when b - 1 is the previous breakpoint, whose value
+    the row before already holds. Built once and kept on the signal, so every
+    sensor's crossing search walks the same table.
     """
-    table = signal._breakpoint_tables.get(horizon)
+    table = signal._breakpoint_table
     if table is None:
         rows = [(0, None, value_at(signal, 0))]
-        for b in _breakpoints(signal, horizon):
+        for b in _breakpoints(signal):
             prev = rows[-1][0]
             if b > prev:
                 rows.append((b, value_at(signal, b - 1) if b - 1 > prev else None, value_at(signal, b)))
-        table = signal._breakpoint_tables[horizon] = tuple(rows)
+        table = signal._breakpoint_table = tuple(rows)
     return table
 
 
@@ -238,24 +246,20 @@ def reach_tolerance(threshold: float, dp: float) -> float:
     return 1e-9 * max(abs(threshold), dp)
 
 
-def crossing_times(
-    signal: Signal,
-    p0: float,
-    dp: float,
-    horizon: SimTime,
-) -> list[tuple[SimTime, int]]:
+def crossing_times(signal: Signal, p0: float, dp: float) -> list[tuple[SimTime, int]]:
     """Exact instants a perfect delta sensor would emit, with directions.
 
-    Returns every millisecond t at which the signal crosses the running
-    reference grid p0 + k*dp, as (t, +1) or (t, -1), ordered by time. The
-    reference moves one quantum per crossing; a jump across several quanta
-    yields several entries at the same t. Crossings are searched for within
-    monotone segments (see _first_crossing), so each reported t is the first
-    millisecond at which the crossing condition holds. The segment ends and
-    their values come from the signal's breakpoint table for this horizon,
-    so only the search inside a segment calls value_at, and a second call on
-    the same signal evaluates no breakpoint again. Raises LevelOutOfRange
-    once the signal strays 2**31 or more quanta from p0.
+    Returns every millisecond t in [0, signal.horizon] at which the signal
+    crosses the running reference grid p0 + k*dp, as (t, +1) or (t, -1),
+    ordered by time. The reference moves one quantum per crossing; a jump
+    across several quanta yields several entries at the same t. Crossings
+    are searched for within monotone segments (see _first_crossing), so each
+    reported t is the first millisecond at which the crossing condition
+    holds. The segment ends and their values come from the signal's
+    breakpoint table, so only the search inside a segment calls value_at,
+    and a second call on the same signal evaluates no breakpoint again.
+    Raises LevelOutOfRange once the signal strays 2**31 or more quanta from
+    p0.
     """
     if dp <= 0:
         raise NonPositiveDelta(f"dp must be positive, got {dp}")
@@ -279,7 +283,7 @@ def crossing_times(
             out.append((t, -1))
             up, down = _thresholds(p0, dp, k)
 
-    rows = iter(_breakpoint_table(signal, horizon))
+    rows = iter(_breakpoint_table(signal))
     t, _, v = next(rows)
     advance(t, v)
     for b, vw, vb in rows:

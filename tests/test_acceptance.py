@@ -104,7 +104,7 @@ def random_clean_scenario(index, rng):
     ambient = SignalDef("room", SignalKind.AMBIENT, "degC", ambient_spec)
     # P0 anchored at the true initial value; noise walk starts at zero, so
     # t=0 is seed-independent.
-    ambient_p0 = value_at(Signal(SignalKind.AMBIENT, ambient_spec), 0)
+    ambient_p0 = value_at(Signal(SignalKind.AMBIENT, ambient_spec, horizon=horizon), 0)
     sensors = [
         SensorDescriptor(
             sensor_id=1,
@@ -221,7 +221,7 @@ def test_criterion_3_self_synchronization_under_loss():
         assert result.counters["radio_lost"] > 0, "loss was supposed to bite"
         for descriptor in sensors:
             signal = result.signals[descriptor.signal_id]
-            crossings = crossing_times(signal, descriptor.p0, descriptor.dp, sc.horizon)
+            crossings = crossing_times(signal, descriptor.p0, descriptor.dp)
             entries = result.center.timeline(descriptor.sensor_id)
             assert entries, "several frames must survive"
             k = 0
@@ -243,15 +243,15 @@ def test_criterion_3_self_synchronization_under_loss():
     )
 
 
-def sent_by_seq(signal, descriptor, horizon):
-    """seq_no -> (msg_type, level_index) of every frame a sensor sends.
+def sent_by_seq(signal, descriptor):
+    """seq_no -> (msg_type, level_index) of every frame a sensor sends over the signal's horizon.
 
     Derived from the crossing instants and the status schedule alone: seq 1
     is the first frame, each crossing moves the level one quantum, and the
     EVENTs at an instant go before the STATUS due at that instant.
     """
-    crossings = [(t, 0, direction) for t, direction in crossing_times(signal, descriptor.p0, descriptor.dp, horizon)]
-    statuses = [(t, 1, 0) for t in range(descriptor.status_interval, horizon + 1, descriptor.status_interval)]
+    crossings = [(t, 0, direction) for t, direction in crossing_times(signal, descriptor.p0, descriptor.dp)]
+    statuses = [(t, 1, 0) for t in range(descriptor.status_interval, signal.horizon + 1, descriptor.status_interval)]
     level, sent = 0, {}
     for seq, (_t, is_status, direction) in enumerate(sorted(crossings + statuses, key=lambda f: f[:2]), 1):
         level += direction
@@ -294,7 +294,7 @@ def test_criterion_3_by_seq_no_under_drift_jitter_and_loss():
     assert result.counters["radio_lost"] > 0, "loss was supposed to bite"
     tally = []
     for descriptor in sensors:
-        sent = sent_by_seq(result.signals[descriptor.signal_id], descriptor, sc.horizon)
+        sent = sent_by_seq(result.signals[descriptor.signal_id], descriptor)
         entries = result.center.timeline(descriptor.sensor_id)
         assert len(sent) == result.sensor_states[descriptor.sensor_id].seq_no
         assert 0 < len(entries) < len(sent), "loss on both links must take some frames"

@@ -20,21 +20,22 @@ DAY = 24 * MS_PER_HOUR
 
 
 def test_poll_count_is_floor_of_horizon_over_dt():
-    sig = step_load_signal(base_rate_per_hour=1.0)
-    assert len(poll(sig, 900_000, DAY)) == 96
-    assert len(poll(sig, DAY, DAY)) == 1
-    assert len(poll(sig, DAY + 1, DAY)) == 0
-    samples = poll(sig, 1_000_000, 3_500_000)
+    sig = step_load_signal(base_rate_per_hour=1.0, horizon=DAY)
+    assert len(poll(sig, 900_000)) == 96
+    assert len(poll(sig, DAY)) == 1
+    assert len(poll(sig, DAY + 1)) == 0
+    sig = step_load_signal(base_rate_per_hour=1.0, horizon=3_500_000)
+    samples = poll(sig, 1_000_000)
     assert [s.t for s in samples] == [1_000_000, 2_000_000, 3_000_000]
     assert samples[0].value == value_at(sig, 1_000_000)
 
 
 def test_poll_rejects_non_positive_interval():
-    sig = step_load_signal()
+    sig = step_load_signal(horizon=DAY)
     with pytest.raises(NonPositiveInterval):
-        poll(sig, 0, DAY)
+        poll(sig, 0)
     with pytest.raises(NonPositiveInterval):
-        poll(sig, -5, DAY)
+        poll(sig, -5)
 
 
 def test_reconstruct_ami_zero_order_hold():
@@ -62,7 +63,7 @@ def test_reconstruct_ami_matches_scan_on_poll_outputs():
         sig = diurnal_signal(
             mean=20.0, amplitude=rng.uniform(0.0, 5.0), noise_sigma=0.1, seed=rng.randrange(2**32), horizon=DAY
         )
-        samples = poll(sig, rng.randrange(60_000, DAY // 4), DAY)
+        samples = poll(sig, rng.randrange(60_000, DAY // 4))
         probes = [0, DAY] + [rng.randrange(DAY + 1) for _ in range(50)]
         probes += [s.t + d for s in samples for d in (-1, 0, 1)]
         for t in probes:
@@ -70,9 +71,9 @@ def test_reconstruct_ami_matches_scan_on_poll_outputs():
 
 
 def test_error_stats_constant_signal_is_exact_zero():
-    sig = step_load_signal(base_rate_per_hour=0.0)
-    samples = poll(sig, 900_000, DAY)
-    report = error_stats(sig, samples, DAY, grid=60_000)
+    sig = step_load_signal(base_rate_per_hour=0.0, horizon=DAY)
+    samples = poll(sig, 900_000)
+    report = error_stats(sig, samples, grid=60_000)
     assert report.sup == 0.0
     assert report.mean == 0.0
     assert report.rmse == 0.0
@@ -82,9 +83,9 @@ def test_error_stats_constant_signal_is_exact_zero():
 def test_error_stats_ramp_matches_closed_form():
     # 3.6 units/hour is 1e-6 units per ms, so errors are exact decimals.
     dt, grid = 900_000, 60_000
-    sig = step_load_signal(base_rate_per_hour=3.6)
-    samples = poll(sig, dt, DAY)
-    report = error_stats(sig, samples, DAY, grid=grid, p0=0.0)
+    sig = step_load_signal(base_rate_per_hour=3.6, horizon=DAY)
+    samples = poll(sig, dt)
+    report = error_stats(sig, samples, grid=grid, p0=0.0)
     # held value lags by at most dt - grid at a grid point
     assert report.sup == pytest.approx((dt - grid) * 1e-6, rel=1e-12)
     # independent accumulation from the closed form truth(t) = 1e-6 * t
@@ -101,10 +102,10 @@ def test_error_stats_ramp_matches_closed_form():
 
 def test_error_stats_sinusoid_bounded_by_lipschitz():
     period = 4 * MS_PER_HOUR
-    sig = diurnal_signal(mean=10.0, amplitude=1.0, period=period)
+    sig = diurnal_signal(mean=10.0, amplitude=1.0, period=period, horizon=period)
     dt = 300_000
-    samples = poll(sig, dt, period)
-    report = error_stats(sig, samples, period, grid=60_000, p0=value_at(sig, 0))
+    samples = poll(sig, dt)
+    report = error_stats(sig, samples, grid=60_000, p0=value_at(sig, 0))
     # |dP/dt| <= amplitude * 2*pi / period, so a dt-stale hold is bounded
     assert 0.0 < report.sup <= 1.0 * 2 * math.pi / period * dt + 1e-9
     assert report.mean <= report.sup
@@ -160,9 +161,9 @@ def test_hold_error_matches_per_point_scan():
 
 
 def test_error_stats_rejects_bad_grid():
-    sig = step_load_signal()
+    sig = step_load_signal(horizon=DAY)
     with pytest.raises(NonPositiveInterval):
-        error_stats(sig, [], DAY, grid=0)
+        error_stats(sig, [], grid=0)
 
 
 def test_matched_budget_interval():
@@ -178,7 +179,6 @@ def test_matched_budget_interval():
 
 def test_matched_budget_never_undershoots():
     rng = random.Random(31337)
-    sig = step_load_signal(base_rate_per_hour=1.0)
     for _ in range(200):
         horizon = rng.randrange(1_000, 10_000_000)
         n = rng.randrange(1, 500)

@@ -1,7 +1,8 @@
 """asmisim has no runtime dependency: every import in the package is
-relative or names a module of the standard library. And neither the package,
+relative or names a module of the standard library. Neither the package,
 its tests nor its benchmark carry a dead import: each name a module imports
-is read there or exported."""
+is read there or exported. And a Signal carries its horizon, so no package
+function takes a horizon beside a Signal."""
 
 import ast
 import sys
@@ -65,3 +66,38 @@ def test_an_unused_import_is_caught():
         "__all__ = ['derive_seed']\nos.path.join(rng())\nradio = None\n"
     )
     assert unused_imports(source) == ["struct", "radio"]
+
+
+def horizon_restatements(source: str) -> list[str]:
+    """The functions in `source` with both a `Signal`-annotated parameter and one named `horizon`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs]
+        annotations = [p.annotation for p in params if p.annotation is not None]
+        takes_signal = any(
+            getattr(n, "id", getattr(n, "attr", None)) == "Signal" for ann in annotations for n in ast.walk(ann)
+        )
+        if takes_signal and any(p.arg == "horizon" for p in params):
+            found.append(node.name)
+    return found
+
+
+def test_no_function_takes_a_horizon_beside_a_signal():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) >= 10
+    found = {path.name: horizon_restatements(path.read_text()) for path in sources}
+    assert {name: funcs for name, funcs in found.items() if funcs} == {}
+
+
+def test_a_horizon_beside_a_signal_is_caught():
+    source = (
+        "def poll(signal: Signal, dt: int, horizon: int): ...\n"
+        "def drive(d, signal: signalgen.Signal | None, *, horizon=0): ...\n"
+        "class C:\n    def m(self, s: Signal, /, horizon): ...\n"
+        "def ok(signal: Signal, dt: int): ...\n"
+        "def also_ok(spec: StepLoadSpec, horizon: int): ...\n"
+    )
+    assert horizon_restatements(source) == ["poll", "drive", "m"]

@@ -230,6 +230,7 @@ OUT_OF_RANGE_DOC = {
         {"sensor_id": 4, "dP": 0.1, "mode": "BIDIRECTIONAL", "status_interval": 1000, "signal": "t"},
         {"sensor_id": 5, "dP": 0.1, "mode": "MONOTONIC", "status_interval": 1000, "signal": "c"},
         {"sensor_id": 6, "dP": 0.1, "mode": "MONOTONIC", "status_interval": 1000, "signal": "c"},
+        {"sensor_id": 7, "dP": 0.1, "mode": "BIDIRECTIONAL", "status_interval": 1000, "signal": "t"},
     ],
     "routers": [
         {"id": -1, "flush_interval": 0, "drift_ppm": -1e6, "sync_residual": -10},
@@ -237,7 +238,11 @@ OUT_OF_RANGE_DOC = {
         {"id": 1},
         {"id": 2, "flush_interval": -5},
     ],
-    "coverage": {"9": [1], "4": [], "5": [1, 3, -1]},
+    # int() reads each key from "06" on as sensor 6 or 7, but only "7" is written as str() writes an id.
+    "coverage": {
+        "9": [1], "4": [], "5": [1, 3, -1],
+        "06": [1], " 6": [1], "+6": [1], "6_0": [1], "\u0666": [1], "7": [1], "07": [1],
+    },
     "channel": {"loss_prob": 1.5, "latency": -1, "jitter": -1},
     "sync_interval": 0,
     "error_grid": 0,
@@ -322,10 +327,16 @@ OUT_OF_RANGE_ERRORS = [
     ("routers[0].flush_interval", "must be a positive integer (milliseconds)"),
     ("routers[2].id", "duplicate router id 1"),
     ("routers[3].flush_interval", "must be a positive integer (milliseconds)"),
+    ("coverage. 6", "key must be a sensor id"),
+    ("coverage.+6", "key must be a sensor id"),
+    ("coverage.06", "key must be a sensor id"),
+    ("coverage.07", "key must be a sensor id"),
     ("coverage.4", "must be a non-empty list of router ids"),
     ("coverage.5", "unknown router id 3"),
     ("coverage.5", "unknown router id -1"),
+    ("coverage.6_0", "key must be a sensor id"),
     ("coverage.9", "unknown sensor id 9"),
+    ("coverage.\u0666", "key must be a sensor id"),
     ("coverage.6", "sensor has no covering router"),
     ("channel.loss_prob", "must be a probability in [0, 1]"),
     ("channel.latency", "must be a non-negative integer (milliseconds)"),
@@ -636,7 +647,7 @@ def test_sensors_emit_at_each_wake_up_and_the_run_counts_its_flushes(source, mon
         (d.sensor_id, t)
         for d in sc.sensors
         for t in (
-            {t for t, _direction in crossing_times(result.signals[d.signal_id], d.p0, d.dp, sc.horizon)}
+            {t for t, _direction in crossing_times(result.signals[d.signal_id], d.p0, d.dp)}
             | set(range(d.status_interval, sc.horizon + 1, d.status_interval))
         )
     }
@@ -777,8 +788,8 @@ def test_comparison_rows_equal_reconstruct_and_error_stats():
             ("pinned", "ASMI", sensor_id, sup, mean, rmse, messages, messages * pi_protocol.FRAME_LEN)
         )
         dt = baseline.matched_budget_interval(sc.horizon, messages)
-        samples = baseline.poll(signal, dt, sc.horizon)
-        report = baseline.error_stats(signal, samples, sc.horizon, sc.error_grid, value_at(signal, 0))
+        samples = baseline.poll(signal, dt)
+        report = baseline.error_stats(signal, samples, sc.error_grid, value_at(signal, 0))
         polls = len(samples)
         expected.append(
             ("pinned", "AMI", sensor_id, report.sup, report.mean, report.rmse, polls, polls * pi_protocol.FRAME_LEN)

@@ -134,7 +134,7 @@ def test_driver_constant_signal_only_status():
     sig = step_load_signal(base_rate_per_hour=0.0, horizon=DAY)
     emitted = []
     d = monotonic(status_interval=H6)
-    sampling_driver(d, sig, DAY, lambda f, t: emitted.append((t, f)))
+    sampling_driver(d, sig, lambda f, t: emitted.append((t, f)))
     assert len(emitted) == 4  # 24 h / 6 h
     assert all(f.msg_type is MsgType.STATUS for _, f in emitted)
     assert [t for t, _ in emitted] == [H6, 2 * H6, 3 * H6, 4 * H6]
@@ -145,7 +145,7 @@ def test_driver_status_fires_at_each_multiple_of_its_interval_up_to_the_horizon(
     sig = step_load_signal(base_rate_per_hour=0.0, horizon=DAY)
     emitted = []
     d = monotonic(status_interval=interval)
-    sampling_driver(d, sig, DAY, lambda f, t: emitted.append((t, f.msg_type, f.seq_no)))
+    sampling_driver(d, sig, lambda f, t: emitted.append((t, f.msg_type, f.seq_no)))
     expected = range(interval, DAY + 1, interval)
     assert emitted == [(t, MsgType.STATUS, k) for k, t in enumerate(expected, start=1)]
 
@@ -154,11 +154,11 @@ def test_driver_event_times_equal_oracle_crossings():
     sig = step_load_signal(base_rate_per_hour=1.0, horizon=2 * MS_PER_HOUR)
     emitted = []
     d = monotonic(dp=0.5, status_interval=DAY)
-    state = sampling_driver(d, sig, 2 * MS_PER_HOUR, lambda f, t: emitted.append((t, f)))
+    state = sampling_driver(d, sig, lambda f, t: emitted.append((t, f)))
     event_times = [t for t, f in emitted if f.msg_type is MsgType.EVENT]
     # 1 kWh/h with dp 0.5 -> a crossing every 30 minutes
     assert event_times == [30 * 60_000, 60 * 60_000, 90 * 60_000, 120 * 60_000]
-    oracle = crossing_times(sig, d.p0, d.dp, 2 * MS_PER_HOUR)
+    oracle = crossing_times(sig, d.p0, d.dp)
     assert event_times == [t for t, _ in oracle]
     assert state.seq_no == len(emitted)
 
@@ -171,7 +171,7 @@ def test_driver_conservation_bound():
         horizon=horizon,
     )
     d = monotonic(dp=0.25, status_interval=DAY)
-    state = sampling_driver(d, sig, horizon, lambda f, t: None)
+    state = sampling_driver(d, sig, lambda f, t: None)
     consumed = value_at(sig, horizon)
     assert state.ref_level_index * d.dp <= consumed < (state.ref_level_index + 1) * d.dp
 
@@ -182,7 +182,7 @@ def test_event_precedes_status_at_shared_instant():
     emitted = []
     # crossing every 30 min, status every 30 min: instants coincide
     d = monotonic(dp=0.5, status_interval=30 * 60_000)
-    sampling_driver(d, sig, horizon, lambda f, t: emitted.append((t, f.msg_type, f.seq_no)))
+    sampling_driver(d, sig, lambda f, t: emitted.append((t, f.msg_type, f.seq_no)))
     assert emitted == [
         (1_800_000, MsgType.EVENT, 1),
         (1_800_000, MsgType.STATUS, 2),
@@ -199,8 +199,8 @@ def test_driver_merges_crossings_and_statuses_in_time_order():
     )
     emitted = []
     d = monotonic(dp=0.1, status_interval=60_000)
-    sampling_driver(d, sig, DAY, lambda f, t: emitted.append((t, f.msg_type, f.seq_no)))
-    crossings = [t for t, _ in crossing_times(sig, d.p0, d.dp, DAY)]
+    sampling_driver(d, sig, lambda f, t: emitted.append((t, f.msg_type, f.seq_no)))
+    crossings = [t for t, _ in crossing_times(sig, d.p0, d.dp)]
     statuses = set(range(60_000, DAY + 1, 60_000))
     expected = []
     for t in sorted(set(crossings) | statuses):
@@ -221,9 +221,9 @@ def test_sensors_with_one_key_share_one_solve(monkeypatch):
     solved = []
     real = sensor.crossing_times
 
-    def counted(signal, p0, dp, until):
-        solved.append((p0, dp, until))
-        return real(signal, p0, dp, until)
+    def counted(signal, p0, dp):
+        solved.append((p0, dp))
+        return real(signal, p0, dp)
 
     monkeypatch.setattr(sensor, "crossing_times", counted)
     emitted = {1: [], 2: [], 3: []}
@@ -234,9 +234,9 @@ def test_sensors_with_one_key_share_one_solve(monkeypatch):
 
     descriptors = [monotonic(0.1, sensor_id=1), monotonic(0.1, sensor_id=2), monotonic(0.25, sensor_id=3)]
     for d in descriptors:
-        sampling_driver(d, sig, horizon, emit)
-    assert solved == [(0.0, 0.1, horizon), (0.0, 0.25, horizon)]
-    assert isinstance(sig._instants[(0.0, 0.1, horizon)], tuple)  # no caller can change a shared solve
+        sampling_driver(d, sig, emit)
+    assert solved == [(0.0, 0.1), (0.0, 0.25)]
+    assert isinstance(sig._instants[(0.0, 0.1)], tuple)  # no caller can change a shared solve
     for d in descriptors:
-        assert emitted[d.sensor_id] == [t for t, _ in real(sig, d.p0, d.dp, horizon)]
+        assert emitted[d.sensor_id] == [t for t, _ in real(sig, d.p0, d.dp)]
     assert emitted[1] == emitted[2] != emitted[3]

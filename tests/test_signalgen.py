@@ -17,15 +17,15 @@ from asmisim.signalgen import (
 )
 
 
-def dense_scan_oracle(signal, p0, dp, horizon):
-    """Reference crossing detector: walk every millisecond and track the grid.
+def dense_scan_oracle(signal, p0, dp):
+    """Reference crossing detector: walk every millisecond up to signal.horizon, tracking the grid.
 
     Deliberately brute force and independent of crossing_times' search;
     shares only value_at (the ground truth) and the boundary tolerance rule.
     """
     out = []
     k = 0
-    for t in range(horizon + 1):
+    for t in range(signal.horizon + 1):
         v = value_at(signal, t)
         while True:
             thr = p0 + (k + 1) * dp
@@ -46,7 +46,7 @@ def dense_scan_oracle(signal, p0, dp, horizon):
 
 
 def test_cumulative_base_rate():
-    sig = step_load_signal(base_rate_per_hour=1.0)
+    sig = step_load_signal(base_rate_per_hour=1.0, horizon=3 * MS_PER_HOUR)
     assert value_at(sig, 0) == 0.0
     assert value_at(sig, MS_PER_HOUR) == 1.0
     assert value_at(sig, MS_PER_HOUR // 2) == 0.5
@@ -57,6 +57,7 @@ def test_cumulative_intervals_add_on_top_of_base():
     sig = step_load_signal(
         base_rate_per_hour=0.5,
         intervals=[(MS_PER_HOUR, 2 * MS_PER_HOUR, 2.0)],
+        horizon=3 * MS_PER_HOUR,
     )
     assert value_at(sig, MS_PER_HOUR) == 0.5
     assert value_at(sig, 2 * MS_PER_HOUR) == pytest.approx(1.0 + 2.0)
@@ -65,7 +66,7 @@ def test_cumulative_intervals_add_on_top_of_base():
 
 
 def test_cumulative_is_non_decreasing():
-    sig = step_load_signal(base_rate_per_hour=0.3, intervals=[(1000, 5000, 10.0)])
+    sig = step_load_signal(base_rate_per_hour=0.3, intervals=[(1000, 5000, 10.0)], horizon=10_000)
     prev = value_at(sig, 0)
     for t in range(0, 10_000, 7):
         cur = value_at(sig, t)
@@ -74,21 +75,21 @@ def test_cumulative_is_non_decreasing():
 
 
 def test_diurnal_shape():
-    sig = diurnal_signal(mean=20.0, amplitude=2.0, period=DAY_MS, phase=0)
+    sig = diurnal_signal(mean=20.0, amplitude=2.0, period=DAY_MS, phase=0, horizon=DAY_MS)
     assert value_at(sig, 0) == 20.0
     assert value_at(sig, DAY_MS // 4) == pytest.approx(22.0)
     assert value_at(sig, 3 * DAY_MS // 4) == pytest.approx(18.0)
 
 
 def test_diurnal_exact_at_whole_periods():
-    sig = diurnal_signal(mean=21.0, amplitude=3.0, period=DAY_MS, phase=7_500)
+    sig = diurnal_signal(mean=21.0, amplitude=3.0, period=DAY_MS, phase=7_500, horizon=7_500 + 4 * DAY_MS)
     for k in range(1, 5):
         assert value_at(sig, 7_500 + k * DAY_MS) == value_at(sig, 7_500)
         assert value_at(sig, 123 + k * DAY_MS) == value_at(sig, 123)
 
 
 def test_noise_is_piecewise_constant_between_ticks():
-    sig = diurnal_signal(mean=0.0, amplitude=0.0, noise_sigma=1.0, noise_step=1000, seed=5)
+    sig = diurnal_signal(mean=0.0, amplitude=0.0, noise_sigma=1.0, noise_step=1000, seed=5, horizon=2_000)
     v0 = value_at(sig, 0)
     assert all(value_at(sig, t) == v0 for t in range(0, 1000, 111))
     v1 = value_at(sig, 1000)
@@ -97,29 +98,41 @@ def test_noise_is_piecewise_constant_between_ticks():
 
 
 def test_noise_deterministic_per_seed():
-    a = diurnal_signal(mean=0.0, amplitude=0.0, noise_sigma=0.5, noise_step=500, seed=42)
-    b = diurnal_signal(mean=0.0, amplitude=0.0, noise_sigma=0.5, noise_step=500, seed=42)
-    c = diurnal_signal(mean=0.0, amplitude=0.0, noise_sigma=0.5, noise_step=500, seed=43)
+    a = diurnal_signal(mean=0.0, amplitude=0.0, noise_sigma=0.5, noise_step=500, seed=42, horizon=10_000)
+    b = diurnal_signal(mean=0.0, amplitude=0.0, noise_sigma=0.5, noise_step=500, seed=42, horizon=10_000)
+    c = diurnal_signal(mean=0.0, amplitude=0.0, noise_sigma=0.5, noise_step=500, seed=43, horizon=10_000)
     points = [value_at(a, t) for t in range(0, 10_000, 500)]
     assert points == [value_at(b, t) for t in range(0, 10_000, 500)]
     assert points != [value_at(c, t) for t in range(0, 10_000, 500)]
 
 
 def test_out_of_horizon():
-    sig = step_load_signal(base_rate_per_hour=1.0, horizon=1000)
-    value_at(sig, 1000)
-    with pytest.raises(OutOfHorizon):
-        value_at(sig, 1001)
-    with pytest.raises(OutOfHorizon):
-        value_at(sig, -1)
+    for sig in (
+        step_load_signal(base_rate_per_hour=1.0, horizon=1000),
+        diurnal_signal(mean=20.0, amplitude=2.0, noise_sigma=0.1, noise_step=100, horizon=1000),
+    ):
+        value_at(sig, 1000)
+        with pytest.raises(OutOfHorizon):
+            value_at(sig, 1001)
+        with pytest.raises(OutOfHorizon):
+            value_at(sig, -1)
+
+
+def test_signal_factories_require_a_horizon():
+    with pytest.raises(TypeError, match="horizon"):
+        step_load_signal(base_rate_per_hour=1.0)
+    with pytest.raises(TypeError, match="horizon"):
+        diurnal_signal(mean=20.0, amplitude=2.0)
+    with pytest.raises(TypeError, match="positional"):
+        step_load_signal(1.0, (), "kWh", 1000)  # the horizon is keyword-only
 
 
 def test_non_positive_delta():
-    sig = step_load_signal(base_rate_per_hour=1.0)
+    sig = step_load_signal(base_rate_per_hour=1.0, horizon=1000)
     with pytest.raises(NonPositiveDelta):
-        crossing_times(sig, 0.0, 0.0, 1000)
+        crossing_times(sig, 0.0, 0.0)
     with pytest.raises(NonPositiveDelta):
-        crossing_times(sig, 0.0, -0.5, 1000)
+        crossing_times(sig, 0.0, -0.5)
 
 
 # ---------------------------------------------------------- crossing_times
@@ -132,16 +145,16 @@ def test_crossings_match_dense_scan_step_load():
         intervals=[(120_000, 300_000, 30.0)],
         horizon=horizon,
     )
-    got = crossing_times(sig, 0.0, 0.05, horizon)
-    assert got == dense_scan_oracle(sig, 0.0, 0.05, horizon)
+    got = crossing_times(sig, 0.0, 0.05)
+    assert got == dense_scan_oracle(sig, 0.0, 0.05)
     assert got, "scenario was supposed to generate crossings"
 
 
 def test_crossings_match_dense_scan_sinusoid():
     horizon = 480_000  # one full 8-minute period
     sig = diurnal_signal(mean=20.0, amplitude=2.0, period=480_000, phase=30_000, horizon=horizon)
-    got = crossing_times(sig, 20.0, 0.3, horizon)
-    assert got == dense_scan_oracle(sig, 20.0, 0.3, horizon)
+    got = crossing_times(sig, 20.0, 0.3)
+    assert got == dense_scan_oracle(sig, 20.0, 0.3)
     assert {d for _, d in got} == {+1, -1}  # both slopes of the wave exercised
 
 
@@ -156,8 +169,8 @@ def test_crossings_match_dense_scan_noisy_walk():
         seed=97,
         horizon=horizon,
     )
-    got = crossing_times(sig, 10.0, 0.15, horizon)
-    assert got == dense_scan_oracle(sig, 10.0, 0.15, horizon)
+    got = crossing_times(sig, 10.0, 0.15)
+    assert got == dense_scan_oracle(sig, 10.0, 0.15)
     # walk steps of sigma 0.5 against dp 0.15 force multi-quantum jumps:
     # expect at least one instant with more than one crossing
     by_t = {}
@@ -178,18 +191,18 @@ def _random_step_load(rng):
         (b - 5_000, b + 5_000, 0.0),
         (b, horizon, rng.uniform(5.0, 60.0)),
     )
-    return step_load_signal(intervals=intervals, horizon=horizon), horizon
+    return step_load_signal(intervals=intervals, horizon=horizon)
 
 
 def _case_step_load(rng):
-    sig, horizon = _random_step_load(rng)
-    return sig, rng.choice((0.0, rng.uniform(-0.02, 0.02))), rng.uniform(0.002, 0.02), horizon
+    sig = _random_step_load(rng)
+    return sig, rng.choice((0.0, rng.uniform(-0.02, 0.02))), rng.uniform(0.002, 0.02)
 
 
 def _case_tiny_dp(rng):
-    sig, horizon = _random_step_load(rng)
+    sig = _random_step_load(rng)
     dp = rng.uniform(1e-4, 5e-4)
-    return sig, rng.uniform(-3.0, 3.0) * dp, dp, horizon
+    return sig, rng.uniform(-3.0, 3.0) * dp, dp
 
 
 def _case_sinusoid(rng):
@@ -198,7 +211,7 @@ def _case_sinusoid(rng):
     sig = diurnal_signal(mean=rng.uniform(-5.0, 25.0), amplitude=rng.uniform(0.5, 3.0),
                          period=horizon, phase=rng.randrange(horizon), horizon=horizon)
     dp = rng.uniform(0.01, 0.4)
-    return sig, value_at(sig, 0) - rng.uniform(0.0, 1.0) * dp, dp, horizon
+    return sig, value_at(sig, 0) - rng.uniform(0.0, 1.0) * dp, dp
 
 
 def _case_noisy_walk(rng):
@@ -209,15 +222,15 @@ def _case_noisy_walk(rng):
                          phase=rng.randrange(60_000), noise_sigma=8 * dp,
                          noise_step=rng.randrange(2_000, 15_000), seed=rng.randrange(1000),
                          horizon=horizon)
-    return sig, 10.0 + rng.uniform(-dp, dp), dp, horizon
+    return sig, 10.0 + rng.uniform(-dp, dp), dp
 
 
 @pytest.mark.parametrize("seed", range(2))
 @pytest.mark.parametrize("case", [_case_step_load, _case_tiny_dp, _case_sinusoid, _case_noisy_walk])
 def test_crossings_match_dense_scan_random_signals(case, seed):
-    sig, p0, dp, horizon = case(random.Random(f"{case.__name__}:{seed}"))
-    got = crossing_times(sig, p0, dp, horizon)
-    assert got == dense_scan_oracle(sig, p0, dp, horizon)
+    sig, p0, dp = case(random.Random(f"{case.__name__}:{seed}"))
+    got = crossing_times(sig, p0, dp)
+    assert got == dense_scan_oracle(sig, p0, dp)
     assert got, "case was supposed to generate crossings"
 
 
@@ -240,9 +253,10 @@ def test_crossing_search_calls_on_step_load(monkeypatch):
     sig = step_load_signal(
         base_rate_per_hour=0.05,
         intervals=[(edges[0], edges[1], 0.9), (edges[2], edges[3], 0.6)],
+        horizon=DAY_MS,
     )
     times = _count_value_at(monkeypatch)
-    got = crossing_times(sig, 0.0, 0.1, DAY_MS)
+    got = crossing_times(sig, 0.0, 0.1)
     assert len(got) == 48
     breakpoints = {0, *edges, DAY_MS}
     search = [t for t in times if t not in breakpoints and t + 1 not in breakpoints]
@@ -252,9 +266,9 @@ def test_crossing_search_calls_on_step_load(monkeypatch):
 def test_crossing_search_calls_on_sinusoid(monkeypatch):
     # Curved pieces are interpolation's worst case; plain bisection needed
     # 2 046 value_at calls for these 80 crossings.
-    sig = diurnal_signal(mean=20.0, amplitude=2.0, period=DAY_MS, phase=0)
+    sig = diurnal_signal(mean=20.0, amplitude=2.0, period=DAY_MS, phase=0, horizon=DAY_MS)
     times = _count_value_at(monkeypatch)
-    got = crossing_times(sig, 20.0, 0.1, DAY_MS)
+    got = crossing_times(sig, 20.0, 0.1)
     assert len(got) == 80
     assert len(times) <= 2046
 
@@ -265,7 +279,7 @@ def test_crossings_exact_grid_boundary():
     # tolerance rule must still count, at exactly the interval edge.
     horizon = MS_PER_HOUR
     sig = step_load_signal(intervals=[(0, MS_PER_HOUR, 5.0)], horizon=horizon)
-    got = crossing_times(sig, 0.0, 0.1, horizon)
+    got = crossing_times(sig, 0.0, 0.1)
     assert len(got) == 50
     assert all(d == +1 for _, d in got)
     assert got[-1][0] == MS_PER_HOUR
@@ -273,22 +287,22 @@ def test_crossings_exact_grid_boundary():
 
 
 def test_constant_signal_never_crosses():
-    sig = step_load_signal(base_rate_per_hour=0.0)
-    assert crossing_times(sig, 0.0, 0.1, DAY_MS) == []
-    flat = diurnal_signal(mean=21.0, amplitude=0.0)
-    assert crossing_times(flat, 21.0, 0.5, DAY_MS) == []
+    sig = step_load_signal(base_rate_per_hour=0.0, horizon=DAY_MS)
+    assert crossing_times(sig, 0.0, 0.1) == []
+    flat = diurnal_signal(mean=21.0, amplitude=0.0, horizon=DAY_MS)
+    assert crossing_times(flat, 21.0, 0.5) == []
 
 
 def test_diurnal_net_direction_zero_over_whole_day():
-    sig = diurnal_signal(mean=20.0, amplitude=2.5, period=DAY_MS, phase=0)
-    crossings = crossing_times(sig, 20.0, 0.4, DAY_MS)
+    sig = diurnal_signal(mean=20.0, amplitude=2.5, period=DAY_MS, phase=0, horizon=DAY_MS)
+    crossings = crossing_times(sig, 20.0, 0.4)
     assert crossings
     assert sum(d for _, d in crossings) == 0
 
 
 def test_crossing_times_are_sorted_and_within_horizon():
-    sig = step_load_signal(base_rate_per_hour=2.0, intervals=[(10_000, 40_000, 50.0)])
-    got = crossing_times(sig, 0.0, 0.25, 120_000)
+    sig = step_load_signal(base_rate_per_hour=2.0, intervals=[(10_000, 40_000, 50.0)], horizon=120_000)
+    got = crossing_times(sig, 0.0, 0.25)
     times = [t for t, _ in got]
     assert times == sorted(times)
     assert all(0 <= t <= 120_000 for t in times)
@@ -378,8 +392,8 @@ def test_signal_equality_and_repr_ignore_evaluation_history():
     value_at(a, 5_000_000)
     value_at(c, 5_000_000)
     assert (a, c) == (b, d)
-    crossing_times(a, 20.0, 0.25, 10**7)
-    crossing_times(c, 0.0, 0.1, 10**7)
+    crossing_times(a, 20.0, 0.25)
+    crossing_times(c, 0.0, 0.1)
     assert (a, c) == (b, d)
     assert (repr(a), repr(c)) == before == (repr(b), repr(d))
     assert a != diurnal_signal(20.0, 2.0, noise_sigma=0.1, seed=4, horizon=10**7)
@@ -389,14 +403,16 @@ def test_second_crossing_search_evaluates_no_breakpoint_again(monkeypatch):
     horizon = 6 * MS_PER_HOUR
     signals = [
         diurnal_signal(20.0, 2.0, period=4 * MS_PER_HOUR, noise_sigma=0.05, seed=8, horizon=horizon),
-        step_load_signal(0.2, [(MS_PER_HOUR, 3 * MS_PER_HOUR, 2.0), (2 * MS_PER_HOUR, 9 * MS_PER_HOUR, 0.7)]),
+        step_load_signal(
+            0.2, [(MS_PER_HOUR, 3 * MS_PER_HOUR, 2.0), (2 * MS_PER_HOUR, 9 * MS_PER_HOUR, 0.7)], horizon=horizon
+        ),
     ]
     for sig in signals:
         p0 = value_at(sig, 0)
-        first = crossing_times(sig, p0, 0.1, horizon)
+        first = crossing_times(sig, p0, 0.1)
         times = _count_value_at(monkeypatch)
-        second = crossing_times(sig, p0, 0.15, horizon)
+        second = crossing_times(sig, p0, 0.15)
         assert first and second
-        breakpoints = set(signalgen._breakpoints(sig, horizon))
+        breakpoints = set(signalgen._breakpoints(sig))
         assert not [t for t in times if t in breakpoints or t + 1 in breakpoints]
         monkeypatch.undo()
