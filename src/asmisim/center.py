@@ -31,12 +31,18 @@ matter how many earlier frames were lost. reconstruct() answers one instant
 with a bisect; series() answers a window in one forward pass that recomputes
 the hold only where an entry starts, and equals reconstruct() point for
 point.
+
+Export reads each timeline as ingest keeps it, sensor by sensor in id
+order. timeline_rows() returns typed rows; timeline_lines() yields the same
+rows as timeline.csv text, one line at a time, and formats each value and
+uncertainty once per sensor and level, and once per sensor and seq gap.
 """
 
 from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import count
@@ -53,6 +59,9 @@ _WIRE_KEY = struct.Struct(">II")
 
 # A MsgType's name by dict lookup: Enum.name is a property, slow per row.
 _TYPE_NAMES = {t: t.name for t in MsgType}
+
+# Most texts timeline_lines() memoises per sensor before it starts over.
+_MEMO_SIZE = 512
 
 
 class UnknownSensor(Exception):
@@ -222,7 +231,9 @@ class MonitoringCenter:
 
     def timeline(self, sensor_id: int) -> list[TimelineEntry]:
         """Accepted records in (estimated time, seq_no) order, as ingest keeps
-        them; a copy that later ingests do not change."""
+        them. The list is a copy: later ingests do not add to or reorder it.
+        The entries are the center's own: a later duplicate that lowers an
+        entry's time lowers it in the returned list too."""
         return list(self._sensor(sensor_id)[1].entries)
 
     def reconstruct(self, sensor_id: int, t: SimTime) -> tuple[float, float]:
@@ -329,3 +340,38 @@ class MonitoringCenter:
                 )
                 prev_seq = entry.seq_no
         return rows
+
+    def timeline_lines(self) -> Iterator[str]:
+        """timeline.csv's data lines, each ended by "\\r\\n": byte-equal to
+        csv.writer over timeline_rows(), in the same order.
+
+        With timeline_rows()'s expressions, each "level,value" text is
+        formatted once per level_index and each uncertainty once per raw seq
+        gap (<= 0 where seq order inverts). The memos are per sensor, as p0
+        and dp are, and start over at _MEMO_SIZE texts to bound memory.
+        """
+        for sensor_id in sorted(self.sensors):
+            descriptor = self.sensors[sensor_id].descriptor
+            p0, dp = descriptor.p0, descriptor.dp
+            levels: dict[int, str] = {}
+            gaps: dict[int, str] = {}
+            head = f"{sensor_id},"
+            prev_seq = 0
+            for entry in self._timelines[sensor_id].entries:
+                level, seq_no = entry.level_index, entry.seq_no
+                level_text = levels.get(level)
+                if level_text is None:
+                    if len(levels) == _MEMO_SIZE:
+                        levels.clear()
+                    level_text = levels[level] = f"{level},{p0 + dp * level}"
+                gap = seq_no - prev_seq
+                gap_text = gaps.get(gap)
+                if gap_text is None:
+                    if len(gaps) == _MEMO_SIZE:
+                        gaps.clear()
+                    gap_text = gaps[gap] = f"{dp * max(1, gap)}\r\n"
+                yield (
+                    f"{head}{seq_no},{_TYPE_NAMES[entry.msg_type]},"
+                    f"{entry.estimated_event_time},{level_text},{gap_text}"
+                )
+                prev_seq = seq_no

@@ -218,18 +218,16 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
 
-    # The two large files are formatted line by line rather than through
+    # The two large files are streamed line by line rather than through
     # csv / json: every timeline field is an int, a float or a bare word
     # that needs no quoting, and every transport field is an int or plain
     # hex, so these lines are byte-identical to csv.writer's (\r\n ends)
-    # and to json.dumps(row, separators=(", ", ": ")).
+    # and to json.dumps(row, separators=(", ", ": ")). The center formats
+    # its own lines (MonitoringCenter.timeline_lines).
     timeline_path = out / TIMELINE_FILE
     with timeline_path.open("w", newline="") as fh:
         fh.write(",".join(TIMELINE_CSV_COLUMNS) + "\r\n")
-        fh.writelines(
-            f"{sensor_id},{seq_no},{msg_type},{t},{level},{value},{uncertainty}\r\n"
-            for sensor_id, seq_no, msg_type, t, level, value, uncertainty in result.center.timeline_rows()
-        )
+        fh.writelines(result.center.timeline_lines())
     paths[TIMELINE_FILE] = timeline_path
 
     transport_path = out / TRANSPORT_FILE

@@ -39,6 +39,12 @@ MAX_SENSOR_ID = 2**32 - 1
 # A clock that gains or loses more than a second per second is not a clock;
 # the bound also keeps drift_ppm * elapsed time finite for any SimTime.
 MAX_DRIFT_PPM = 1_000_000
+# The run scores each signal on horizon // error_grid + 1 grid points and
+# keeps their truth values in a list, about 32 bytes a point: 10**6 points
+# are 32 MB and a million value_at calls per signal. That still fits a
+# 1-minute grid over 694 days, or a day down to an 87 ms grid; a 1 ms grid
+# over one day would need 86 400 001 points (2.7 GB).
+MAX_ERROR_GRID_POINTS = 1_000_000
 
 
 class ScenarioValidationError(Exception):
@@ -312,6 +318,10 @@ def validate(doc: dict) -> Scenario:
     jitter = _int(errors, channel_raw, "channel", "jitter", 0, NON_NEGATIVE_MS)
     sync_interval = _int(errors, doc, "", "sync_interval", DEFAULT_SYNC_INTERVAL, POSITIVE_MS, lo=1)
     error_grid = _int(errors, doc, "", "error_grid", DEFAULT_ERROR_GRID, POSITIVE_MS, lo=1)
+    if None not in (horizon, error_grid) and horizon // error_grid >= MAX_ERROR_GRID_POINTS:
+        points = horizon // error_grid + 1
+        message = f"must give at most {MAX_ERROR_GRID_POINTS} grid points over the horizon, not {points}"
+        errors.append(("error_grid", message))
 
     baseline_raw = _object(errors, doc, "baseline")
     enabled = baseline_raw.get("enabled", False)

@@ -8,13 +8,14 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from asmisim import baseline, cli, pi_protocol, radio, router, runner, scenario, sensor
-from asmisim.center import TIMELINE_CSV_COLUMNS, MonitoringCenter
+from asmisim.center import _MEMO_SIZE, TIMELINE_CSV_COLUMNS, MonitoringCenter
 from asmisim.pi_protocol import MsgType, PiFrame
 from asmisim.router import ForwardedRecord
 from asmisim.sensor import SensorDescriptor, SensorMode
@@ -500,6 +501,35 @@ def test_levels_beyond_the_wire_range_raise_level_out_of_range(path, value):
     sc = scenario.validate(doc)
     with pytest.raises(LevelOutOfRange):
         runner.run_scenario(sc, seed=31)
+
+
+# burst_day.json's horizon is one day: a 1 ms grid would score each signal on
+# 86 400 001 points. Each case is (error_grid, horizon, points or None if it
+# validates); the last two sit on either side of the bound.
+ERROR_GRID_CASES = (
+    (1, None, 86_400_001),
+    (86, None, 1_004_652),
+    (87, None, None),
+    (100, (scenario.MAX_ERROR_GRID_POINTS - 1) * 100, None),
+    (100, scenario.MAX_ERROR_GRID_POINTS * 100, scenario.MAX_ERROR_GRID_POINTS + 1),
+)
+
+
+@pytest.mark.parametrize("error_grid, horizon, points", ERROR_GRID_CASES)
+def test_an_error_grid_with_too_many_points_raises_validation_error(error_grid, horizon, points):
+    """Validation alone decides; none of these is run."""
+    doc = json.loads((SCENARIO_DIR / "burst_day.json").read_text())
+    doc["error_grid"] = error_grid
+    if horizon is not None:
+        doc["horizon"] = horizon
+    if points is None:
+        sc = scenario.validate(doc)
+        assert sc.horizon // sc.error_grid + 1 <= scenario.MAX_ERROR_GRID_POINTS
+        return
+    with pytest.raises(scenario.ScenarioValidationError) as err:
+        scenario.validate(doc)
+    message = f"must give at most {scenario.MAX_ERROR_GRID_POINTS} grid points over the horizon, not {points}"
+    assert err.value.errors == [("error_grid", message)]
 
 
 def test_end_of_run_at_max_simtime_validates():
@@ -992,6 +1022,24 @@ def test_written_files_match_json_and_csv_encoders_on_edge_values(tmp_path):
     records.append(ForwardedRecord(0, b"\x00\xff", -1))  # malformed bytes are logged as they came
     for rec in records:
         center.ingest(rec)
+    result = _center_result(center, records)
+    paths = runner.write_outputs(result, tmp_path)
+
+    lines = paths["transport.jsonl"].read_bytes().split(b"\n")
+    assert lines.pop() == b""
+    assert len(lines) == len(result.transport_rows)
+    for line, row in zip(lines, result.transport_rows):
+        assert line.decode() == json.dumps(row, separators=(", ", ": "))
+        assert json.loads(line) == row
+
+    rows = center.timeline_rows()
+    assert any(row[3] < 0 for row in rows)
+    assert {1e-05, -0.30000000000000004, 1e16} <= {row[5] for row in rows}
+    assert paths["timeline.csv"].read_bytes() == _typed_timeline_csv(center)
+
+
+def _center_result(center, records):
+    """A RunResult that writes `center` and logs `records` as transported."""
     transport_rows = [
         {
             "router_id": rec.router_id,
@@ -1000,7 +1048,7 @@ def test_written_files_match_json_and_csv_encoders_on_edge_values(tmp_path):
         }
         for rec in records
     ]
-    result = runner.RunResult(
+    return runner.RunResult(
         scenario=None,
         seed=0,
         counters=dict.fromkeys(runner.RUN_SUMMARY_KEYS, 0),
@@ -1010,23 +1058,94 @@ def test_written_files_match_json_and_csv_encoders_on_edge_values(tmp_path):
         router_states={},
         transport_rows=transport_rows,
     )
-    paths = runner.write_outputs(result, tmp_path)
 
-    lines = paths["transport.jsonl"].read_bytes().split(b"\n")
-    assert lines.pop() == b""
-    assert len(lines) == len(transport_rows)
-    for line, row in zip(lines, transport_rows):
-        assert line.decode() == json.dumps(row, separators=(", ", ": "))
-        assert json.loads(line) == row
 
-    rows = center.timeline_rows()
-    assert any(row[3] < 0 for row in rows)
-    assert {1e-05, -0.30000000000000004, 1e16} <= {row[5] for row in rows}
+def _typed_timeline_csv(center) -> bytes:
+    """csv.writer over the header and timeline_rows(): what timeline.csv must hold."""
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(TIMELINE_CSV_COLUMNS)
-    writer.writerows(rows)
-    assert paths["timeline.csv"].read_bytes() == expected.getvalue().encode()
+    writer.writerows(center.timeline_rows())
+    return expected.getvalue().encode()
+
+
+def _frame_record(sensor_id, seq_no, level, t, msg_type=MsgType.EVENT):
+    return ForwardedRecord(1, pi_protocol.encode(PiFrame(msg_type, sensor_id, seq_no, level)), t)
+
+
+def test_timeline_csv_memo_is_per_sensor_and_matches_the_typed_rows(tmp_path):
+    """Sensors 1 and 2 receive the same frames but have their own P0 and dP,
+    so a memo shared between sensors writes one's value or uncertainty in
+    the other's rows. Their levels go negative, seq 0 comes first (gap 0),
+    gaps exceed 1, and seq 9 sorts before seq 4 by time (gap 4 - 9 < 0).
+    Sensor 3 has more distinct levels and gaps than a memo holds, and
+    returns to levels and gaps after its memos start over."""
+    center = MonitoringCenter(nominal_latency=0)
+    center.register_router(1)
+    for sensor_id, dp, p0 in ((1, 0.5, 0.0), (2, 0.25, 10.0), (3, 0.1, -3.0)):
+        center.register_sensor(SensorDescriptor(sensor_id, "p", "u", dp, p0, SensorMode.BIDIRECTIONAL, 60_000))
+    frames = [(0, 0, 100), (1, 1, 200), (4, -2, 300), (9, 1, 250), (5, -2, 400), (6, -3, 500), (8, -3, 600), (10, 1, 700)]
+    records = [
+        _frame_record(sensor_id, seq_no, level, t, MsgType.STATUS if seq_no % 4 == 0 else MsgType.EVENT)
+        for sensor_id in (1, 2)
+        for seq_no, level, t in frames
+    ]
+    seq_no = 0
+    for k in range(3 * _MEMO_SIZE):
+        seq_no += k % (_MEMO_SIZE + 100) + 1
+        records.append(_frame_record(3, seq_no, k % (_MEMO_SIZE + 50) - 300, 1_000 + 10 * k))
+    for rec in records:
+        center.ingest(rec)
+    assert center.counters["accepted"] == len(records)
+    rows = center.timeline_rows()
+    assert [row[1] for row in rows if row[0] == 1] == [0, 1, 9, 4, 5, 6, 8, 10]
+    assert len({row[4] for row in rows if row[0] == 3}) > _MEMO_SIZE
+
+    path = runner.write_outputs(_center_result(center, records), tmp_path)["timeline.csv"]
+    assert path.read_bytes() == _typed_timeline_csv(center)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUT_DIGESTS))
+def test_golden_timeline_csv_equals_csv_writer_over_the_typed_rows(name, tmp_path):
+    result = runner.run_scenario(_golden_variant(name))
+    path = runner.write_outputs(result, tmp_path)["timeline.csv"]
+    assert path.read_bytes() == _typed_timeline_csv(result.center)
+
+
+def test_write_outputs_streams_the_large_files(tmp_path):
+    """With 30 000 accepted entries, the memory write_outputs allocates at
+    its peak stays under a quarter of timeline.csv's size: neither large
+    file is built whole in memory (a timeline_rows() list alone is about
+    three times the file). Meter 1's levels never repeat, so its memos
+    start over again and again."""
+    center = MonitoringCenter(nominal_latency=0)
+    center.register_router(1)
+    center.register_sensor(SensorDescriptor(1, "p", "u", 0.001, 0.0, SensorMode.MONOTONIC, 60_000))
+    center.register_sensor(SensorDescriptor(2, "p", "u", 0.25, 20.0, SensorMode.BIDIRECTIONAL, 60_000))
+    rng = random.Random(20_000)
+    records = []
+    seq_no = 0
+    for _ in range(24_000):
+        seq_no += rng.choice((1, 1, 2, 3))
+        records.append(_frame_record(1, seq_no, seq_no, 1_000 * seq_no))
+    level = 0
+    for seq_no in range(1, 6_001):
+        level += rng.choice((-1, 1))
+        records.append(_frame_record(2, seq_no, level, 3_000 * seq_no + rng.randrange(3_000)))
+    for rec in records:
+        center.ingest(rec)
+    assert center.counters["accepted"] == 30_000
+    result = _center_result(center, records)
+
+    tracemalloc.start()
+    try:
+        paths = runner.write_outputs(result, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = paths["timeline.csv"].stat().st_size
+    assert peak < size / 4, (peak, size)
+    assert paths["timeline.csv"].read_bytes() == _typed_timeline_csv(center)
 
 
 def test_center_result_does_not_depend_on_arrival_order():
