@@ -45,7 +45,7 @@ class CoverageMap:
 class Channel:
     spec: ChannelSpec
     seed: int = 0
-    _streams: dict[tuple[int, int], object] = field(default_factory=dict, repr=False)
+    _streams: dict[tuple[int, int], object] = field(default_factory=dict, init=False, repr=False)
     # The radio's books: one attempt per covering router, and the ones lost.
     attempts: int = field(default=0, init=False)
     lost: int = field(default=0, init=False)

@@ -46,7 +46,7 @@ class RouterState:
     sync_interval: SimTime = 3_600_000
     sync_until: SimTime = 0
     # flush instant -> [(true receipt time, emission time, frame bytes), ...] as heard
-    pending: dict[SimTime, list[tuple[SimTime, SimTime, bytes]]] = field(default_factory=dict)
+    pending: dict[SimTime, list[tuple[SimTime, SimTime, bytes]]] = field(default_factory=dict, init=False)
     received: int = field(default=0, init=False)  # every receipt, dropped or filed
     dropped: int = field(default=0, init=False)
 

@@ -81,11 +81,7 @@ def build_signals(scenario: Scenario, seed: int) -> dict[str, Signal]:
     out = {}
     for signal_id, sdef in scenario.signals.items():
         out[signal_id] = Signal(
-            kind=sdef.kind,
-            spec=sdef.spec,
-            unit=sdef.unit,
-            seed=derive_seed(seed, "signal", signal_id),
-            horizon=scenario.horizon,
+            sdef.spec, sdef.unit, derive_seed(seed, "signal", signal_id), horizon=scenario.horizon
         )
     return out
 

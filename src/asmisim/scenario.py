@@ -39,12 +39,15 @@ MAX_SENSOR_ID = 2**32 - 1
 # A clock that gains or loses more than a second per second is not a clock;
 # the bound also keeps drift_ppm * elapsed time finite for any SimTime.
 MAX_DRIFT_PPM = 1_000_000
-# The run scores each signal on horizon // error_grid + 1 grid points and
-# keeps their truth values in a list, about 32 bytes a point: 10**6 points
-# are 32 MB and a million value_at calls per signal. That still fits a
-# 1-minute grid over 694 days, or a day down to an 87 ms grid; a 1 ms grid
-# over one day would need 86 400 001 points (2.7 GB).
-MAX_ERROR_GRID_POINTS = 1_000_000
+# A run holds four grids over the horizon in memory, each about horizon //
+# step entries: each signal's truth on the error grid, each sensor's polls at
+# a fixed baseline dt, an ambient signal's noise walk and its breakpoints (a
+# noise tick, and an extremum per half-period). One bound caps each. On
+# quiet_day.json just inside it (a shared 2-core machine), the polls (dt 87)
+# took 4.4 s and 339 MiB peak RSS, the walk (noise_step 87) 2.7 s and 225
+# MiB, the extrema (period 173) 3.4 s and 326 MiB. It fits a 1-minute step
+# over 694 days; a 1 ms step over one day would need 86 400 000 entries.
+MAX_GRID_POINTS = 1_000_000
 
 
 class ScenarioValidationError(Exception):
@@ -59,7 +62,6 @@ class ScenarioValidationError(Exception):
 @dataclass(frozen=True)
 class SignalDef:
     signal_id: str
-    kind: SignalKind
     unit: str
     spec: StepLoadSpec | DiurnalSpec
 
@@ -174,7 +176,13 @@ def _object(errors: Errors, doc: dict, key: str) -> dict:
     return {}
 
 
-def _signal(errors: Errors, path: str, raw: dict, sid: str, unit: str) -> SignalDef | None:
+def _bound(errors: Errors, where: str, key: str, count: int, what: str) -> None:
+    """Record key when the count of entries it gives over the horizon passes MAX_GRID_POINTS."""
+    if count > MAX_GRID_POINTS:
+        _fail(errors, where, key, f"must give at most {MAX_GRID_POINTS} {what} over the horizon, not {count}")
+
+
+def _signal(errors: Errors, path: str, raw: dict, sid: str, unit: str, horizon: int | None) -> SignalDef | None:
     """One signal's definition; None when its kind or spec is unusable."""
     kind = raw.get("kind")
     if kind == "cumulative":
@@ -190,7 +198,7 @@ def _signal(errors: Errors, path: str, raw: dict, sid: str, unit: str) -> Signal
         # A cumulative signal stays known to its sensors even when its rates
         # are invalid, so one bad rate does not also fail every sensor on it.
         spec = StepLoadSpec(0.0 if base is None else base, tuple(intervals))
-        return SignalDef(sid, SignalKind.CUMULATIVE, unit, spec)
+        return SignalDef(sid, unit, spec)
     if kind == "ambient":
         values = (
             _num(errors, raw, path, "mean", 0.0, "must be a number"),
@@ -200,7 +208,13 @@ def _signal(errors: Errors, path: str, raw: dict, sid: str, unit: str) -> Signal
             _num(errors, raw, path, "noise_sigma", 0.0, NON_NEGATIVE_NUMBER, lo=0),
             _int(errors, raw, path, "noise_step", 60_000, POSITIVE_MS, lo=1),
         )
-        return None if None in values else SignalDef(sid, SignalKind.AMBIENT, unit, DiurnalSpec(*values))
+        if None in values:
+            return None
+        spec = DiurnalSpec(*values)
+        if horizon is not None:
+            _bound(errors, path, "period", 2 * horizon // spec.period, "half-periods")
+            _bound(errors, path, "noise_step", horizon // spec.noise_step, "noise ticks")
+        return SignalDef(sid, unit, spec)
     _fail(errors, path, "kind", "must be 'cumulative' or 'ambient'")
     return None
 
@@ -224,7 +238,7 @@ def validate(doc: dict) -> Scenario:
             _fail(errors, path, "id", f"duplicate signal id {sid!r}")
             continue
         unit = _text(errors, raw, path, "unit", "", "must be a string", min_len=0)
-        sdef = _signal(errors, path, raw, sid, unit or "")
+        sdef = _signal(errors, path, raw, sid, unit or "", horizon)
         if sdef is not None:
             signals[sid] = sdef
 
@@ -247,7 +261,7 @@ def validate(doc: dict) -> Scenario:
         if not isinstance(signal_ref, str) or signal_ref not in signals:
             _fail(errors, path, "signal", f"unknown signal id {signal_ref!r}")
             signal_ref = None
-        elif mode is SensorMode.MONOTONIC and signals[signal_ref].kind is not SignalKind.CUMULATIVE:
+        elif mode is SensorMode.MONOTONIC and signals[signal_ref].spec.kind is not SignalKind.CUMULATIVE:
             _fail(errors, path, "mode", "MONOTONIC requires a cumulative signal")
             mode = None
         if None in (sensor_id, dp, p0, mode, status_interval, signal_ref):
@@ -318,10 +332,8 @@ def validate(doc: dict) -> Scenario:
     jitter = _int(errors, channel_raw, "channel", "jitter", 0, NON_NEGATIVE_MS)
     sync_interval = _int(errors, doc, "", "sync_interval", DEFAULT_SYNC_INTERVAL, POSITIVE_MS, lo=1)
     error_grid = _int(errors, doc, "", "error_grid", DEFAULT_ERROR_GRID, POSITIVE_MS, lo=1)
-    if None not in (horizon, error_grid) and horizon // error_grid >= MAX_ERROR_GRID_POINTS:
-        points = horizon // error_grid + 1
-        message = f"must give at most {MAX_ERROR_GRID_POINTS} grid points over the horizon, not {points}"
-        errors.append(("error_grid", message))
+    if None not in (horizon, error_grid):
+        _bound(errors, "", "error_grid", horizon // error_grid + 1, "grid points")
 
     baseline_raw = _object(errors, doc, "baseline")
     enabled = baseline_raw.get("enabled", False)
@@ -330,6 +342,8 @@ def validate(doc: dict) -> Scenario:
     dt = baseline_raw.get("dt", "matched")
     if dt != "matched":
         dt = _int(errors, baseline_raw, "baseline", "dt", None, POSITIVE_MS + " or 'matched'", lo=1)
+        if None not in (horizon, dt):
+            _bound(errors, "baseline", "dt", horizon // dt, "polls")
 
     outputs = _text(errors, doc, "", "outputs", "out", "must be a non-empty string (directory path)")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .pi_protocol import MsgType, PiFrame
-from .signalgen import Signal, crossing_times, reach_tolerance, value_at
+from .signalgen import LevelOutOfRange, Signal, _thresholds, crossing_times, value_at
 from .simkernel import SimTime
 
 
@@ -62,6 +62,8 @@ def observe(
 
     Emits one EVENT per grid quantum between the old reference and p, so a
     large excursion produces a burst of +/-1 steps rather than one jump.
+    The grid rule is the oracle's (signalgen._thresholds), and like the
+    oracle it raises LevelOutOfRange for a p 2**31 or more quanta from P0.
     """
     if (
         descriptor.mode is SensorMode.MONOTONIC
@@ -71,28 +73,26 @@ def observe(
         raise MonotonicityViolated(
             f"sensor {descriptor.sensor_id}: {p} < previous {state.last_observed}"
         )
+    p0, dp = descriptor.p0, descriptor.dp
+    if abs(p - p0) >= 2**31 * dp:
+        raise LevelOutOfRange(
+            f"sensor {descriptor.sensor_id}: value {p!r} at t={t} is 2**31 or more quanta"
+            f" of dP {dp!r} from P0 {p0!r}"
+        )
     state.last_observed = p
     frames: list[PiFrame] = []
-    dp = descriptor.dp
-    while True:
-        threshold = descriptor.p0 + (state.ref_level_index + 1) * dp
-        if p < threshold - reach_tolerance(threshold, dp):
-            break
+    up, down = _thresholds(p0, dp, state.ref_level_index)
+    while p >= up:
         state.ref_level_index += 1
         state.seq_no += 1
-        frames.append(
-            PiFrame(MsgType.EVENT, descriptor.sensor_id, state.seq_no, state.ref_level_index)
-        )
+        frames.append(PiFrame(MsgType.EVENT, descriptor.sensor_id, state.seq_no, state.ref_level_index))
+        up, down = _thresholds(p0, dp, state.ref_level_index)
     if descriptor.mode is SensorMode.BIDIRECTIONAL:
-        while True:
-            threshold = descriptor.p0 + (state.ref_level_index - 1) * dp
-            if p > threshold + reach_tolerance(threshold, dp):
-                break
+        while p <= down:
             state.ref_level_index -= 1
             state.seq_no += 1
-            frames.append(
-                PiFrame(MsgType.EVENT, descriptor.sensor_id, state.seq_no, state.ref_level_index)
-            )
+            frames.append(PiFrame(MsgType.EVENT, descriptor.sensor_id, state.seq_no, state.ref_level_index))
+            up, down = _thresholds(p0, dp, state.ref_level_index)
     return frames
 
 

@@ -13,8 +13,7 @@ function that takes a Signal evaluates it over that horizon and asks for no
 other. Evaluation is pure: a Signal with a fixed seed always yields the same
 value at the same time, regardless of evaluation order. What a Signal learns
 while it is evaluated (its noise walk, its step-load interval terms, its
-breakpoint table) is built once, kept on the Signal and shared by every
-caller.
+breakpoint table) is a cached property, shared by every caller.
 """
 
 from __future__ import annotations
@@ -22,6 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from itertools import accumulate
+from typing import ClassVar
 
 from .rng import derive_rng
 from .simkernel import SimTime
@@ -66,6 +68,7 @@ class LoadInterval:
 class StepLoadSpec:
     """Piecewise-constant consumption rate: base plus overlapping intervals."""
 
+    kind: ClassVar[SignalKind] = SignalKind.CUMULATIVE
     base_rate_per_hour: float = 0.0
     intervals: tuple[LoadInterval, ...] = ()
 
@@ -74,6 +77,7 @@ class StepLoadSpec:
 class DiurnalSpec:
     """mean + amplitude*sin(2*pi*(t - phase)/period) + random-walk noise."""
 
+    kind: ClassVar[SignalKind] = SignalKind.AMBIENT
     mean: float
     amplitude: float
     period: SimTime = DAY_MS
@@ -82,43 +86,57 @@ class DiurnalSpec:
     noise_step: SimTime = 60_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class Signal:
-    """A ground-truth parameter and the tables its evaluations fill in.
+    """A ground-truth parameter on [0, horizon]: spec, unit, seed and horizon define it.
 
-    Only kind, spec, unit, seed and horizon define the signal; they alone
-    take part in == and repr. horizon is required and keyword-only: the
-    signal is evaluated on [0, horizon] and nowhere else. The remaining
-    fields are built lazily, once, and then read by every caller: the noise
-    walk (_walk), the step-load interval terms that value_at sums
-    (_load_terms), the breakpoint table that crossing_times walks
-    (_breakpoint_table), and the crossing instants of each (p0, dp) that
-    sensor.sampling_driver walks (_instants).
+    The spec's type gives the kind. horizon is required and keyword-only.
+    The tables an evaluation needs are cached properties, built on first
+    use and then read by every caller; they are not fields, so ==, hash
+    and repr ignore them by construction.
     """
 
-    kind: SignalKind
     spec: StepLoadSpec | DiurnalSpec
     unit: str = ""
     seed: int = 0
     horizon: SimTime = field(kw_only=True)
-    _walk: list[float] = field(default_factory=lambda: [0.0], compare=False, repr=False)
-    _walk_rng: object = field(default=None, compare=False, repr=False)
-    _load_terms: tuple | None = field(default=None, compare=False, repr=False)
-    _breakpoint_table: tuple | None = field(default=None, compare=False, repr=False)
-    _instants: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def _noise_at(self, t: SimTime) -> float:
+    @cached_property
+    def _walk(self) -> tuple[float, ...]:
+        """Noise level in each noise_step tick up to the horizon, drawn from the signal's own stream."""
         spec = self.spec
-        if spec.noise_sigma == 0.0:
-            return 0.0
-        idx = t // spec.noise_step
-        if idx >= len(self._walk):
-            if self._walk_rng is None:
-                self._walk_rng = derive_rng(self.seed, "walk")
-            while len(self._walk) <= idx:
-                step = self._walk_rng.gauss(0.0, spec.noise_sigma)
-                self._walk.append(self._walk[-1] + step)
-        return self._walk[idx]
+        rng = derive_rng(self.seed, "walk")
+        steps = (rng.gauss(0.0, spec.noise_sigma) for _ in range(self.horizon // spec.noise_step))
+        return tuple(accumulate(steps, initial=0.0))
+
+    @cached_property
+    def _load_terms(self) -> tuple:
+        """(start, end, rate, whole) per step-load interval with end > start, in spec order."""
+        return tuple(
+            (iv.start, iv.end, iv.rate_per_hour, iv.rate_per_hour * (iv.end - iv.start) / MS_PER_HOUR)
+            for iv in self.spec.intervals
+            if iv.end > iv.start
+        )
+
+    @cached_property
+    def _breakpoint_table(self) -> tuple:
+        """(b, value at b - 1, value at b) for t = 0 and each later breakpoint.
+
+        The breakpoints are _breakpoints(self). The value at b - 1 is None
+        when b - 1 is the previous breakpoint, whose value the row before
+        already holds. Every sensor's crossing search walks this table.
+        """
+        rows = [(0, None, value_at(self, 0))]
+        for b in _breakpoints(self):
+            prev = rows[-1][0]
+            if b > prev:
+                rows.append((b, value_at(self, b - 1) if b - 1 > prev else None, value_at(self, b)))
+        return tuple(rows)
+
+    @cached_property
+    def _instants(self) -> dict:
+        """(p0, dp) -> sorted crossing instants, filled in by sensor.sampling_driver."""
+        return {}
 
 
 def step_load_signal(
@@ -132,7 +150,7 @@ def step_load_signal(
         base_rate_per_hour=base_rate_per_hour,
         intervals=tuple(LoadInterval(s, e, r) for s, e, r in intervals),
     )
-    return Signal(kind=SignalKind.CUMULATIVE, spec=spec, unit=unit, horizon=horizon)
+    return Signal(spec, unit, horizon=horizon)
 
 
 def diurnal_signal(
@@ -148,7 +166,7 @@ def diurnal_signal(
     horizon: SimTime,
 ) -> Signal:
     spec = DiurnalSpec(mean, amplitude, period, phase, noise_sigma, noise_step)
-    return Signal(kind=SignalKind.AMBIENT, spec=spec, unit=unit, seed=seed, horizon=horizon)
+    return Signal(spec, unit, seed, horizon=horizon)
 
 
 def value_at(signal: Signal, t: SimTime) -> float:
@@ -163,23 +181,17 @@ def value_at(signal: Signal, t: SimTime) -> float:
     if t < 0 or t > signal.horizon:
         raise OutOfHorizon(f"t={t} outside [0, {signal.horizon}]")
     spec = signal.spec
-    if signal.kind is SignalKind.CUMULATIVE:
-        terms = signal._load_terms
-        if terms is None:
-            terms = signal._load_terms = tuple(
-                (iv.start, iv.end, iv.rate_per_hour, iv.rate_per_hour * (iv.end - iv.start) / MS_PER_HOUR)
-                for iv in spec.intervals
-                if iv.end > iv.start
-            )
+    if type(spec) is StepLoadSpec:
         total = spec.base_rate_per_hour * t / MS_PER_HOUR
-        for start, end, rate, whole in terms:
+        for start, end, rate, whole in signal._load_terms:
             if t > start:
                 total += whole if t >= end else rate * (t - start) / MS_PER_HOUR
         return total
     # Fold into [0, period) before multiplying by 2*pi so values at whole
     # periods are exact (sin(2*pi*k) would not be).
     frac = ((t - spec.phase) % spec.period) / spec.period
-    return spec.mean + spec.amplitude * math.sin(2.0 * math.pi * frac) + signal._noise_at(t)
+    noise = signal._walk[t // spec.noise_step] if spec.noise_sigma else 0.0
+    return spec.mean + spec.amplitude * math.sin(2.0 * math.pi * frac) + noise
 
 
 def _breakpoints(signal: Signal) -> list[SimTime]:
@@ -192,7 +204,7 @@ def _breakpoints(signal: Signal) -> list[SimTime]:
     horizon = signal.horizon
     pts = {0, horizon}
     spec = signal.spec
-    if signal.kind is SignalKind.CUMULATIVE:
+    if type(spec) is StepLoadSpec:
         for iv in spec.intervals:
             for edge in (iv.start, iv.end):
                 if 0 < edge < horizon:
@@ -213,25 +225,6 @@ def _breakpoints(signal: Signal) -> list[SimTime]:
             pts.add(tick)
             tick += spec.noise_step
     return sorted(p for p in pts if 0 <= p <= horizon)
-
-
-def _breakpoint_table(signal: Signal) -> tuple:
-    """(b, value at b - 1, value at b) for t = 0 and each later breakpoint.
-
-    The breakpoints are _breakpoints(signal), over the signal's horizon. The
-    value at b - 1 is None when b - 1 is the previous breakpoint, whose value
-    the row before already holds. Built once and kept on the signal, so every
-    sensor's crossing search walks the same table.
-    """
-    table = signal._breakpoint_table
-    if table is None:
-        rows = [(0, None, value_at(signal, 0))]
-        for b in _breakpoints(signal):
-            prev = rows[-1][0]
-            if b > prev:
-                rows.append((b, value_at(signal, b - 1) if b - 1 > prev else None, value_at(signal, b)))
-        table = signal._breakpoint_table = tuple(rows)
-    return table
 
 
 def reach_tolerance(threshold: float, dp: float) -> float:
@@ -283,7 +276,7 @@ def crossing_times(signal: Signal, p0: float, dp: float) -> list[tuple[SimTime, 
             out.append((t, -1))
             up, down = _thresholds(p0, dp, k)
 
-    rows = iter(_breakpoint_table(signal))
+    rows = iter(signal._breakpoint_table)
     t, _, v = next(rows)
     advance(t, v)
     for b, vw, vb in rows:

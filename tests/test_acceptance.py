@@ -26,7 +26,6 @@ from asmisim.signalgen import (
     DiurnalSpec,
     LoadInterval,
     Signal,
-    SignalKind,
     StepLoadSpec,
     crossing_times,
     value_at,
@@ -89,7 +88,6 @@ def random_clean_scenario(index, rng):
         t = end
     load = SignalDef(
         "load",
-        SignalKind.CUMULATIVE,
         "kWh",
         StepLoadSpec(base_rate_per_hour=rng.uniform(0.0, 1.5), intervals=tuple(intervals)),
     )
@@ -101,10 +99,10 @@ def random_clean_scenario(index, rng):
         noise_sigma=rng.choice([0.0, 0.05, 0.15]),
         noise_step=60_000,
     )
-    ambient = SignalDef("room", SignalKind.AMBIENT, "degC", ambient_spec)
+    ambient = SignalDef("room", "degC", ambient_spec)
     # P0 anchored at the true initial value; noise walk starts at zero, so
     # t=0 is seed-independent.
-    ambient_p0 = value_at(Signal(SignalKind.AMBIENT, ambient_spec, horizon=horizon), 0)
+    ambient_p0 = value_at(Signal(ambient_spec, horizon=horizon), 0)
     sensors = [
         SensorDescriptor(
             sensor_id=1,
@@ -211,8 +209,8 @@ def test_criterion_3_self_synchronization_under_loss():
             seed=500 + int(loss * 10),
             horizon=DAY_MS,
             signal_defs=[
-                SignalDef("load", SignalKind.CUMULATIVE, "kWh", burst_spec),
-                SignalDef("room", SignalKind.AMBIENT, "degC", ambient_spec),
+                SignalDef("load", "kWh", burst_spec),
+                SignalDef("room", "degC", ambient_spec),
             ],
             sensors=sensors,
             channel=ChannelSpec(loss_prob=loss, latency=50, jitter=0),
@@ -280,8 +278,8 @@ def test_criterion_3_by_seq_no_under_drift_jitter_and_loss():
         seed=77,
         horizon=DAY_MS,
         signal_defs=[
-            SignalDef("load", SignalKind.CUMULATIVE, "kWh", load_spec),
-            SignalDef("room", SignalKind.AMBIENT, "degC", ambient_spec),
+            SignalDef("load", "kWh", load_spec),
+            SignalDef("room", "degC", ambient_spec),
         ],
         sensors=sensors,
         routers=[
@@ -325,8 +323,8 @@ def test_criterion_4_router_count_invariance(tmp_path):
             seed=321,
             horizon=DAY_MS,
             signal_defs=[
-                SignalDef("load", SignalKind.CUMULATIVE, "kWh", spec),
-                SignalDef("room", SignalKind.AMBIENT, "degC", ambient),
+                SignalDef("load", "kWh", spec),
+                SignalDef("room", "degC", ambient),
             ],
             sensors=sensors,
             routers=routers,
@@ -401,7 +399,7 @@ def test_criterion_7_matched_budget_comparison():
             f"burst_{start}",
             seed=seed,
             horizon=DAY_MS,
-            signal_defs=[SignalDef("burst", SignalKind.CUMULATIVE, "kWh", spec)],
+            signal_defs=[SignalDef("burst", "kWh", spec)],
             sensors=sensors,
             baseline=BaselineDef(enabled=True, dt="matched"),
         )
@@ -435,7 +433,6 @@ def test_criterion_8_scale_10k_sensors():
     n_sensors, n_routers = 10_000, 10
     load = SignalDef(
         "daily",
-        SignalKind.CUMULATIVE,
         "kWh",
         StepLoadSpec(
             base_rate_per_hour=0.05,

@@ -1,10 +1,14 @@
 """asmisim has no runtime dependency: every import in the package is
 relative or names a module of the standard library. Neither the package,
 its tests nor its benchmark carry a dead import: each name a module imports
-is read there or exported. And a Signal carries its horizon, so no package
-function takes a horizon beside a Signal."""
+is read there or exported. A Signal carries its horizon, so no package
+function takes a horizon beside a Signal. And what a run fills in is no
+constructor option: no dataclass takes a field named with a leading
+underscore as an `__init__` parameter."""
 
 import ast
+import dataclasses
+import importlib
 import sys
 from pathlib import Path
 
@@ -101,3 +105,33 @@ def test_a_horizon_beside_a_signal_is_caught():
         "def also_ok(spec: StepLoadSpec, horizon: int): ...\n"
     )
     assert horizon_restatements(source) == ["poll", "drive", "m"]
+
+
+def private_init_fields(namespace: dict) -> list[str]:
+    """Class.field for each dataclass defined in `namespace` whose `__init__` takes a field named `_...`."""
+    return [
+        f"{cls.__qualname__}.{f.name}"
+        for cls in namespace.values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == namespace["__name__"]
+        for f in dataclasses.fields(cls)
+        if f.init and f.name.startswith("_")
+    ]
+
+
+def test_no_dataclass_takes_run_state_in_its_constructor():
+    # Importing __main__ would run the CLI.
+    modules = [path.stem for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__main__"]
+    assert len(modules) >= 10
+    found = {name: private_init_fields(vars(importlib.import_module(f"asmisim.{name}"))) for name in modules}
+    assert {name: fields for name, fields in found.items() if fields} == {}
+
+
+def test_run_state_in_a_constructor_is_caught():
+    @dataclasses.dataclass
+    class Cache:
+        key: int
+        _table: dict = dataclasses.field(default_factory=dict)
+        _kept: dict = dataclasses.field(default_factory=dict, init=False)
+
+    namespace = {"__name__": __name__, "Cache": Cache}
+    assert private_init_fields(namespace) == [f"{Cache.__qualname__}._table"]

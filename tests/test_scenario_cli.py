@@ -510,8 +510,8 @@ ERROR_GRID_CASES = (
     (1, None, 86_400_001),
     (86, None, 1_004_652),
     (87, None, None),
-    (100, (scenario.MAX_ERROR_GRID_POINTS - 1) * 100, None),
-    (100, scenario.MAX_ERROR_GRID_POINTS * 100, scenario.MAX_ERROR_GRID_POINTS + 1),
+    (100, (scenario.MAX_GRID_POINTS - 1) * 100, None),
+    (100, scenario.MAX_GRID_POINTS * 100, scenario.MAX_GRID_POINTS + 1),
 )
 
 
@@ -524,12 +524,56 @@ def test_an_error_grid_with_too_many_points_raises_validation_error(error_grid, 
         doc["horizon"] = horizon
     if points is None:
         sc = scenario.validate(doc)
-        assert sc.horizon // sc.error_grid + 1 <= scenario.MAX_ERROR_GRID_POINTS
+        assert sc.horizon // sc.error_grid + 1 <= scenario.MAX_GRID_POINTS
         return
     with pytest.raises(scenario.ScenarioValidationError) as err:
         scenario.validate(doc)
-    message = f"must give at most {scenario.MAX_ERROR_GRID_POINTS} grid points over the horizon, not {points}"
+    message = f"must give at most {scenario.MAX_GRID_POINTS} grid points over the horizon, not {points}"
     assert err.value.errors == [("error_grid", message)]
+
+
+# quiet_day.json's horizon is one day, with a fixed baseline dt and an ambient
+# signal: a 1 ms step would poll, tick or turn 86 400 000 times or more. Each
+# case is (path, value, horizon or None, count or None if it validates); each
+# bound sits between two cases, and the counts are those MAX_GRID_POINTS caps.
+GRID_COUNT_CASES = (
+    (("baseline", "dt"), 1, None, 86_400_000),
+    (("baseline", "dt"), 86, None, 1_004_651),
+    (("baseline", "dt"), 87, None, None),
+    (("baseline", "dt"), 100, scenario.MAX_GRID_POINTS * 100, None),
+    (("baseline", "dt"), 100, (scenario.MAX_GRID_POINTS + 1) * 100, scenario.MAX_GRID_POINTS + 1),
+    (("signals", 1, "noise_step"), 1, None, 86_400_000),
+    (("signals", 1, "noise_step"), 86, None, 1_004_651),
+    (("signals", 1, "noise_step"), 87, None, None),
+    (("signals", 1, "period"), 1, None, 172_800_000),
+    (("signals", 1, "period"), 172, None, 1_004_651),
+    (("signals", 1, "period"), 173, None, None),
+    (("signals", 1, "period"), 200, scenario.MAX_GRID_POINTS * 100, None),
+    (("signals", 1, "period"), 200, (scenario.MAX_GRID_POINTS + 1) * 100, scenario.MAX_GRID_POINTS + 1),
+)
+GRID_COUNT_NAMES = {"dt": "polls", "noise_step": "noise ticks", "period": "half-periods"}
+
+
+@pytest.mark.parametrize(
+    "path, value, horizon, count",
+    GRID_COUNT_CASES,
+    ids=[f"{_error_path(path)}={value}" + (f",horizon={h}" if h else "") for path, value, h, _ in GRID_COUNT_CASES],
+)
+def test_a_step_giving_too_many_entries_raises_validation_error(path, value, horizon, count):
+    """Validation alone decides; none of these is run, and an amplitude of 0 does not help."""
+    doc = json.loads((SCENARIO_DIR / "quiet_day.json").read_text())
+    assert doc["signals"][1]["amplitude"] == 0.0
+    _set(doc, path, value)
+    if horizon is not None:
+        doc["horizon"] = horizon
+    if count is None:
+        scenario.validate(doc)
+        return
+    with pytest.raises(scenario.ScenarioValidationError) as err:
+        scenario.validate(doc)
+    what = GRID_COUNT_NAMES[path[-1]]
+    message = f"must give at most {scenario.MAX_GRID_POINTS} {what} over the horizon, not {count}"
+    assert err.value.errors == [(_error_path(path), message)]
 
 
 def test_end_of_run_at_max_simtime_validates():

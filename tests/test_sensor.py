@@ -11,7 +11,7 @@ from asmisim.sensor import (
     observe,
     sampling_driver,
 )
-from asmisim.signalgen import MS_PER_HOUR, crossing_times, step_load_signal, value_at
+from asmisim.signalgen import MS_PER_HOUR, LevelOutOfRange, crossing_times, step_load_signal, value_at
 
 H6 = 6 * MS_PER_HOUR
 DAY = 24 * MS_PER_HOUR
@@ -93,6 +93,35 @@ def test_monotonic_never_steps_down():
     assert len(frames) == 10
     # equal reading is fine and emits nothing
     assert observe(state, d, 1, 1.0) == []
+
+
+# (descriptor, reference level, observed value): each is 2**31 or more quanta
+# from P0. The edge cases start a few levels short, so an observe without the
+# guard would return frames whose level no frame can carry.
+OUT_OF_RANGE = {
+    "up_edge": (monotonic(dp=0.1), 2**31 - 2, (2**31 + 1) * 0.1),
+    "down_edge": (bidirectional(dp=0.5, p0=20.0), -(2**31 - 2), 20.0 - (2**31 + 1) * 0.5),
+    "far": (monotonic(dp=0.1), 0, 1e20),  # one level at a time, this walk would not end
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_observe_raises_level_out_of_range_like_the_oracle(case):
+    d, level, p = OUT_OF_RANGE[case]
+    state = new_state(d)
+    state.ref_level_index = level
+    with pytest.raises(LevelOutOfRange):
+        observe(state, d, 5, p)
+    assert (state.ref_level_index, state.seq_no, state.last_observed) == (level, 0, None)
+
+
+def test_observe_reaches_the_last_level_a_frame_carries():
+    # P0 puts that level's line at 0.0, where the grid's slack is far below dP.
+    d = monotonic(dp=0.1, p0=-(2**31 - 1) * 0.1)
+    state = new_state(d)
+    state.ref_level_index = 2**31 - 2
+    frames = observe(state, d, 5, 0.0)
+    assert [f.level_index for f in frames] == [2**31 - 1]
 
 
 def test_heartbeat_schedule():

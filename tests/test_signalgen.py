@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import random
 import tracemalloc
 
@@ -7,8 +9,12 @@ from asmisim import signalgen
 from asmisim.signalgen import (
     DAY_MS,
     MS_PER_HOUR,
+    DiurnalSpec,
     NonPositiveDelta,
     OutOfHorizon,
+    Signal,
+    SignalKind,
+    StepLoadSpec,
     crossing_times,
     diurnal_signal,
     reach_tolerance,
@@ -392,11 +398,36 @@ def test_signal_equality_and_repr_ignore_evaluation_history():
     value_at(a, 5_000_000)
     value_at(c, 5_000_000)
     assert (a, c) == (b, d)
+    assert (hash(a), hash(c)) == (hash(b), hash(d))
     crossing_times(a, 20.0, 0.25)
     crossing_times(c, 0.0, 0.1)
     assert (a, c) == (b, d)
+    assert (hash(a), hash(c)) == (hash(b), hash(d))
     assert (repr(a), repr(c)) == before == (repr(b), repr(d))
     assert a != diurnal_signal(20.0, 2.0, noise_sigma=0.1, seed=4, horizon=10**7)
+
+
+def test_each_spec_type_gives_its_kind():
+    assert StepLoadSpec.kind is StepLoadSpec(1.0).kind is SignalKind.CUMULATIVE
+    assert DiurnalSpec.kind is DiurnalSpec(20.0, 2.0).kind is SignalKind.AMBIENT
+    assert step_load_signal(1.0, horizon=1000).spec.kind is SignalKind.CUMULATIVE
+    assert diurnal_signal(20.0, 2.0, horizon=1000).spec.kind is SignalKind.AMBIENT
+    # The kind is no field: it is neither set, compared nor shown.
+    assert not [f for spec in (StepLoadSpec, DiurnalSpec) for f in dataclasses.fields(spec) if f.name == "kind"]
+
+
+def test_only_the_definition_of_a_signal_is_settable():
+    assert list(inspect.signature(Signal).parameters) == ["spec", "unit", "seed", "horizon"]
+    with pytest.raises(TypeError):
+        Signal(kind=SignalKind.CUMULATIVE, spec=DiurnalSpec(20.0, 2.0), horizon=1000)
+    with pytest.raises(TypeError):
+        Signal(StepLoadSpec(1.0), horizon=3_600_000, _load_terms=((0, 10, 1e9, 5.0),))
+    sig = step_load_signal(1.0, horizon=3_600_000)
+    assert value_at(sig, 3_600_000) == 1.0
+    for name, value in (("seed", 1), ("horizon", 10), ("_load_terms", ())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sig, name, value)
+    assert value_at(sig, 3_600_000) == 1.0
 
 
 def test_second_crossing_search_evaluates_no_breakpoint_again(monkeypatch):
