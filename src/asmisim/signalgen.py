@@ -134,8 +134,11 @@ class Signal:
         return tuple(rows)
 
     @cached_property
-    def _instants(self) -> dict:
-        """(p0, dp) -> sorted crossing instants, filled in by sensor.sampling_driver."""
+    def _level_runs(self) -> dict:
+        """(p0, dp) -> (t, level after the crossing) per crossing, in time order.
+
+        sensor.sampling_driver fills it in from crossing_times.
+        """
         return {}
 
 
@@ -234,9 +237,15 @@ def reach_tolerance(threshold: float, dp: float) -> float:
     exactly on a grid line in exact arithmetic can sit one ulp short of
     the float threshold (50 * 0.1 > 5.0). Comparing against
     threshold -/+ this slack makes representable boundary hits count as
-    crossings while staying nine orders of magnitude below the quantum.
+    crossings. The slack is 1e-9 of the threshold's magnitude, capped at
+    dp/4; the cap binds only beyond 2.5e8 quanta from 0, and it keeps the
+    slack under dp/2, which _thresholds needs.
     """
-    return 1e-9 * max(abs(threshold), dp)
+    # min(1e-9 * max(abs(threshold), dp), dp / 4) without the builtin calls, which cost more here.
+    magnitude = abs(threshold)
+    slack = 1e-9 * (dp if dp > magnitude else magnitude)
+    cap = dp / 4
+    return cap if cap < slack else slack
 
 
 def crossing_times(signal: Signal, p0: float, dp: float) -> list[tuple[SimTime, int]]:
@@ -291,7 +300,13 @@ def crossing_times(signal: Signal, p0: float, dp: float) -> list[tuple[SimTime, 
 
 
 def _thresholds(p0: float, dp: float, k: int) -> tuple[float, float]:
-    """Levels at or beyond which the reference leaves grid line k (up, down)."""
+    """Levels at or beyond which the reference leaves grid line k (up, down).
+
+    The slack is under dp/2, so a value that leaves line k one way lands
+    strictly inside the next line's (down, up), up to the rounding of
+    p0 + k*dp: `advance` moves one way per instant and leaves
+    down < v < up, so `_first_crossing` never sees v_hi == v_lo.
+    """
     up = p0 + (k + 1) * dp
     down = p0 + (k - 1) * dp
     return up - reach_tolerance(up, dp), down + reach_tolerance(down, dp)

@@ -1254,6 +1254,27 @@ def test_cli_run_reports_level_out_of_range(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_run_of_a_flat_signal_far_from_zero_sends_status_frames_only(tmp_path, capsys):
+    # 1e12 is 1e13 quanta of dP 0.1 from 0: an uncapped grid slack there is
+    # wider than a quantum, and the crossing search divided by zero.
+    doc = minimal_config(
+        horizon=1_000,
+        signals=[{"id": "s", "kind": "ambient", "unit": "hPa", "mean": 1e12, "amplitude": 0.0}],
+    )
+    doc["sensors"][0].update(
+        parameter="pressure", unit="hPa", dP=0.1, P0=1e12, mode="BIDIRECTIONAL", status_interval=250
+    )
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    with (tmp_path / "out" / "timeline.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["msg_type"], row["estimated_event_time_ms"], row["level_index"]) for row in rows] == [
+        ("STATUS", str(t), "0") for t in (250, 500, 750, 1000)
+    ]
+
+
 @pytest.mark.parametrize(
     "data",
     [b'{"scenario_id": "caf\xe9"}', b"[" * 100_000, b'{"seed": ' + b"1" * 5_000 + b"}"],

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from asmisim import sensor
+from asmisim import runner, scenario, sensor
 from asmisim.pi_protocol import MsgType
 from asmisim.sensor import (
     MonotonicityViolated,
@@ -11,7 +13,16 @@ from asmisim.sensor import (
     observe,
     sampling_driver,
 )
-from asmisim.signalgen import MS_PER_HOUR, LevelOutOfRange, crossing_times, step_load_signal, value_at
+from asmisim.signalgen import (
+    MS_PER_HOUR,
+    LevelOutOfRange,
+    crossing_times,
+    diurnal_signal,
+    step_load_signal,
+    value_at,
+)
+
+from test_scenario_cli import GOLDEN_OUTPUT_DIGESTS, SCENARIO_DIR, _golden_variant
 
 H6 = 6 * MS_PER_HOUR
 DAY = 24 * MS_PER_HOUR
@@ -122,6 +133,16 @@ def test_observe_reaches_the_last_level_a_frame_carries():
     state.ref_level_index = 2**31 - 2
     frames = observe(state, d, 5, 0.0)
     assert [f.level_index for f in frames] == [2**31 - 1]
+
+
+def test_a_walk_far_from_zero_stops_at_the_last_level_a_frame_carries():
+    # (2**31 - 1) * dP from P0 = 0: an uncapped slack there is about two
+    # quanta wide, and the walk went on to level 2**31 + 1.
+    d = monotonic(dp=0.1, p0=0.0)
+    state = new_state(d)
+    state.ref_level_index = 2**31 - 3
+    frames = observe(state, d, 5, (2**31 - 1) * 0.1)
+    assert [f.level_index for f in frames] == [2**31 - 2, 2**31 - 1]
 
 
 def test_heartbeat_schedule():
@@ -265,7 +286,149 @@ def test_sensors_with_one_key_share_one_solve(monkeypatch):
     for d in descriptors:
         sampling_driver(d, sig, emit)
     assert solved == [(0.0, 0.1), (0.0, 0.25)]
-    assert isinstance(sig._instants[(0.0, 0.1)], tuple)  # no caller can change a shared solve
+    assert isinstance(sig._level_runs[(0.0, 0.1)], tuple)  # no caller can change a shared solve
     for d in descriptors:
         assert emitted[d.sensor_id] == [t for t, _ in real(sig, d.p0, d.dp)]
     assert emitted[1] == emitted[2] != emitted[3]
+
+
+# ---------------------------------------------- the driver against observe
+
+
+def observed(descriptor, signal):
+    """The reference model of sampling_driver: at each distinct instant the
+    solve reports, observe the signal's value, interleaved with heartbeats,
+    EVENTs before the STATUS at a shared instant. Returns the (t, frame)
+    stream and the final state."""
+    state = new_state(descriptor)
+    out = []
+
+    def statuses_before(t):
+        while state.next_status_at < t:
+            due = state.next_status_at
+            out.append((due, heartbeat(state, descriptor, due)))
+
+    for t in sorted({t for t, _ in crossing_times(signal, descriptor.p0, descriptor.dp)}):
+        statuses_before(t)
+        out.extend((t, frame) for frame in observe(state, descriptor, t, value_at(signal, t)))
+    statuses_before(signal.horizon + 1)
+    return out, state
+
+
+def driven(descriptor, signal):
+    out = []
+    state = sampling_driver(descriptor, signal, lambda frame, t: out.append((t, frame)))
+    return out, state
+
+
+def fleet_like():
+    """A day of the fleet's shapes: MONOTONIC meters on step loads, two of
+    them sharing a signal and a key, one with P0 above its signal's start;
+    BIDIRECTIONAL thermometers on one noisy diurnal signal, with P0 below,
+    on and above its start, two of them with one key."""
+    day = 24 * MS_PER_HOUR
+    rng = random.Random(27)
+    pairs = []
+    for i, dp in enumerate((0.01, 0.02, 0.05)):
+        intervals = []
+        for _ in range(3 + i):
+            length = rng.randrange(15 * 60_000, 2 * MS_PER_HOUR)
+            start = rng.randrange(0, day - length)
+            intervals.append((start, start + length, round(0.6 * MS_PER_HOUR / length, 6)))
+        load = step_load_signal((0.02, 0.04, 0.06)[i], sorted(intervals), horizon=day)
+        pairs.append((monotonic(dp=dp, status_interval=MS_PER_HOUR, sensor_id=i + 1), load))
+    shared = pairs[0][1]
+    pairs.append((monotonic(dp=0.01, status_interval=MS_PER_HOUR, sensor_id=4), shared))
+    pairs.append((monotonic(dp=0.05, p0=0.13, status_interval=25 * 60_000, sensor_id=5), shared))
+    air = diurnal_signal(21.0, 2.0, phase=rng.randrange(0, day), noise_sigma=0.03, seed=5, horizon=day)
+    start = value_at(air, 0)
+    offsets = [(0.05, -0.4), (0.1, -0.7), (0.2, 0.0), (0.25, 1.3), (0.5, -0.2), (0.1, -0.7)]  # (dP, P0 - start in dP)
+    for j, (dp, offset) in enumerate(offsets):
+        d = bidirectional(dp=dp, p0=round(start + offset * dp, 6), status_interval=MS_PER_HOUR, sensor_id=11 + j)
+        pairs.append((d, air))
+    return pairs
+
+
+def scenario_pairs(sc):
+    signals = runner.build_signals(sc, sc.seed)
+    return [(d, signals[d.signal_id]) for d in sc.sensors]
+
+
+FIXTURES = (
+    [f"scenario:{path.stem}" for path in sorted(SCENARIO_DIR.glob("*.json"))]
+    + [f"golden:{name}" for name in sorted(GOLDEN_OUTPUT_DIGESTS)]
+    + ["fleet_like"]
+)
+
+
+def fixture_pairs(name):
+    kind, _, arg = name.partition(":")
+    if kind == "scenario":
+        return scenario_pairs(scenario.load(SCENARIO_DIR / f"{arg}.json"))
+    if kind == "golden":
+        return scenario_pairs(_golden_variant(arg))
+    return fleet_like()
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_driver_equals_observe_at_each_crossing_instant(name):
+    pairs = fixture_pairs(name)
+    events = 0
+    for descriptor, signal in pairs:
+        expected, expected_state = observed(descriptor, signal)
+        got, state = driven(descriptor, signal)
+        assert got == expected, descriptor.sensor_id
+        assert (state.ref_level_index, state.seq_no, state.next_status_at) == (
+            expected_state.ref_level_index,
+            expected_state.seq_no,
+            expected_state.next_status_at,
+        )
+        events += sum(frame.msg_type is MsgType.EVENT for _, frame in got)
+    assert events or name == "scenario:quiet_day"
+
+
+def test_the_driver_neither_observes_nor_evaluates_the_signal(monkeypatch):
+    pairs = fleet_like()
+    expected = {d.sensor_id: observed(d, sig)[0] for d, sig in pairs}
+    pairs = fleet_like()  # fresh signals: nothing solved yet
+
+    def forbidden(*_args):
+        raise AssertionError("the driver reads the solve, not the signal")
+
+    solved = []
+    real = sensor.crossing_times
+
+    def counted(signal, p0, dp):
+        solved.append((id(signal), p0, dp))
+        return real(signal, p0, dp)
+
+    monkeypatch.setattr(sensor, "observe", forbidden)
+    monkeypatch.setattr(sensor, "value_at", forbidden)
+    monkeypatch.setattr(sensor, "crossing_times", counted)
+    for d, sig in pairs:
+        assert driven(d, sig)[0] == expected[d.sensor_id]
+    keys = [(id(sig), d.p0, d.dp) for d, sig in pairs]
+    assert solved == list(dict.fromkeys(keys))
+    assert len(solved) < len(pairs)
+
+
+def test_monotonic_sensor_starting_below_p0_stays_silent_until_p0_plus_dp():
+    # 1 kWh/h from 0 against P0 = 0.3: the solve steps down to level -3 at
+    # t = 0 and back up to 0 by 18 min; the sensor's reference stays at 0.
+    sig = step_load_signal(base_rate_per_hour=1.0, horizon=MS_PER_HOUR)
+    d = monotonic(dp=0.1, p0=0.3, status_interval=10 * 60_000)
+    assert [k for t, k in crossing_times(sig, d.p0, d.dp) if t == 0] == [-1, -1, -1]
+    got, state = driven(d, sig)
+    events = [(t, f.level_index) for t, f in got if f.msg_type is MsgType.EVENT]
+    assert events[0] == (24 * 60_000, 1)  # the signal reaches P0 + dP = 0.4 at 24 min
+    assert [k for _, k in events] == list(range(1, len(events) + 1))
+    assert [(t, f.level_index) for t, f in got if t < 24 * 60_000] == [(600_000, 0), (1_200_000, 0)]
+    assert (got, state.ref_level_index) == (observed(d, sig)[0], 7)  # 1.0 = P0 + 7 dP at the horizon
+
+
+def test_monotonic_sensor_on_a_falling_signal_raises():
+    # phase = half a period: the sinusoid starts at its mean, on the way down.
+    sig = diurnal_signal(20.0, 2.0, phase=12 * MS_PER_HOUR, horizon=6 * MS_PER_HOUR)
+    d = monotonic(dp=0.5, p0=20.0)
+    with pytest.raises(MonotonicityViolated):
+        sampling_driver(d, sig, lambda frame, t: None)

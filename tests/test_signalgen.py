@@ -299,6 +299,21 @@ def test_constant_signal_never_crosses():
     assert crossing_times(flat, 21.0, 0.5) == []
 
 
+def test_slack_is_capped_at_a_quarter_quantum_far_from_zero():
+    # Up to 2.5e8 quanta from 0 the slack is 1e-9 of the threshold, unchanged.
+    assert reach_tolerance(2.5e7, 0.1) == 1e-9 * 2.5e7
+    assert reach_tolerance(-0.05, 0.1) == 1e-9 * 0.1
+    assert reach_tolerance(1e12, 0.1) == 0.1 / 4
+    assert reach_tolerance(-1e12, 0.1) == 0.1 / 4
+
+
+def test_a_flat_signal_far_from_zero_never_crosses():
+    # Uncapped, the slack here (1e3) spans ten thousand quanta: the solve
+    # saw a crossing on a flat segment and divided by zero.
+    flat = diurnal_signal(mean=1e12, amplitude=0.0, horizon=1_000)
+    assert crossing_times(flat, 1e12, 0.1) == []
+
+
 def test_diurnal_net_direction_zero_over_whole_day():
     sig = diurnal_signal(mean=20.0, amplitude=2.5, period=DAY_MS, phase=0, horizon=DAY_MS)
     crossings = crossing_times(sig, 20.0, 0.4)
