@@ -105,6 +105,9 @@ def error_stats(
     """Sup/mean/RMS absolute error of the hold against truth on a uniform grid.
 
     The grid is 0, grid, 2*grid, ... up to and including truth.horizon.
+    No run calls it (the runner scores through hold_error on a truth grid
+    shared by all sensors); it stays public because perfbench's tracer
+    wraps it, and it is the one-signal form of that score.
     """
     if grid <= 0:
         raise NonPositiveInterval(f"grid must be positive, got {grid}")

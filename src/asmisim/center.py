@@ -118,14 +118,24 @@ class _Timeline:
         self.entries.insert(i, entry)
         times.insert(i, t)
 
-    def move(self, entry: TimelineEntry, t: SimTime) -> None:
-        """Re-place a placed entry whose time is lowered to t."""
-        i = bisect_left(self.times, entry.estimated_event_time)
-        while self.entries[i] is not entry:
+    def move(self, entry: TimelineEntry, t: SimTime) -> TimelineEntry:
+        """Replace a placed entry with a copy at the lower time t, filed by
+        seq_no, and return the copy. A placed entry never changes: timeline()
+        hands it out. The copy takes the entry's slot unless an earlier time
+        reaches t; then it is placed anew."""
+        times, entries = self.times, self.entries
+        i = bisect_left(times, entry.estimated_event_time)
+        while entries[i] is not entry:
             i += 1
-        del self.entries[i], self.times[i]
-        entry.estimated_event_time = t
-        self.place(entry)
+        moved = TimelineEntry(t, entry.level_index, entry.msg_type, entry.seq_no, entry.frame_bytes)
+        self.by_seq[entry.seq_no] = moved
+        if i == 0 or times[i - 1] < t:
+            entries[i] = moved
+            times[i] = t
+        else:
+            del entries[i], times[i]
+            self.place(moved)
+        return moved
 
 
 @dataclass(frozen=True)
@@ -231,9 +241,9 @@ class MonitoringCenter:
 
     def timeline(self, sensor_id: int) -> list[TimelineEntry]:
         """Accepted records in (estimated time, seq_no) order, as ingest keeps
-        them. The list is a copy: later ingests do not add to or reorder it.
-        The entries are the center's own: a later duplicate that lowers an
-        entry's time lowers it in the returned list too."""
+        them. Neither the list nor its entries change with later ingests: a
+        duplicate that lowers an entry's time replaces the entry in the
+        center, and the returned list keeps the old one."""
         return list(self._sensor(sensor_id)[1].entries)
 
     def reconstruct(self, sensor_id: int, t: SimTime) -> tuple[float, float]:
@@ -318,7 +328,9 @@ class MonitoringCenter:
 
         The per-row uncertainty is dp * max(1, seq gap since the previous
         record): it reflects how completely the stretch leading into this
-        record was observed.
+        record was observed. No run calls it (write_outputs streams
+        timeline_lines()); it stays because perfbench's replay check reads
+        it, and it is the tests' oracle for timeline_lines().
         """
         rows = []
         for sensor_id in sorted(self.sensors):

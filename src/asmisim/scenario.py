@@ -48,6 +48,16 @@ MAX_DRIFT_PPM = 1_000_000
 # MiB, the extrema (period 173) 3.4 s and 326 MiB. It fits a 1-minute step
 # over 694 days; a 1 ms step over one day would need 86 400 000 entries.
 MAX_GRID_POINTS = 1_000_000
+# |P0| must stay under MAX_P0_QUANTA quanta of dP. The solve walks grid lines
+# P0 + k*dP only within 2**31 quanta of P0 (LevelOutOfRange beyond), so every
+# line a run reaches lies under about 2**49 quanta from 0. A double rounds
+# each of the sum and the slack step there by at most 2**-53 of that, dP/16,
+# so a threshold sits within about dP/8 of its place and two neighbouring ones
+# keep dP/4 of the dP/2 gap that signalgen's dP/4 slack cap leaves: a value
+# that leaves one line lands strictly inside the next (signalgen._thresholds).
+# At 2**50 quanta the rounding can close the gap: a flat signal at 1e16 with
+# dP 0.1 divided by zero in the crossing search, and frame counts drift.
+MAX_P0_QUANTA = 2**49
 
 
 class ScenarioValidationError(Exception):
@@ -253,6 +263,9 @@ def validate(doc: dict) -> Scenario:
             sensor_id = None
         dp = _num(errors, raw, path, "dP", None, "dP must be positive", lo=ABOVE_ZERO)
         p0 = _num(errors, raw, path, "P0", 0.0, "must be a number")
+        if None not in (dp, p0) and abs(p0) >= MAX_P0_QUANTA * dp:
+            _fail(errors, path, "P0", "|P0| must be under 2**49 quanta of dP")
+            p0 = None
         mode = SensorMode(raw["mode"]) if raw.get("mode") in ("MONOTONIC", "BIDIRECTIONAL") else None
         if mode is None:
             _fail(errors, path, "mode", "must be 'MONOTONIC' or 'BIDIRECTIONAL'")

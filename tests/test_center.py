@@ -111,6 +111,20 @@ def test_duplicates_keep_earliest_corrected_time():
     assert entry.estimated_event_time == 10_000
 
 
+def test_a_held_timeline_entry_keeps_its_time_when_a_duplicate_lowers_it():
+    center = MonitoringCenter()
+    center.register_sensor(meter(sensor_id=7))
+    center.ingest(record(1, 1, sensor_id=7, at=500))
+    center.ingest(record(2, 2, sensor_id=7, at=600))
+    held = center.timeline(7)
+    assert center.ingest(record(2, 2, router_id=2, sensor_id=7, at=300)) is IngestOutcome.DUPLICATE
+    assert [(e.estimated_event_time, e.seq_no) for e in held] == [(500, 1), (600, 2)]
+    # The replacement is the one dedup finds: a later, lower copy moves it again.
+    assert center.ingest(record(2, 2, router_id=3, sensor_id=7, at=400)) is IngestOutcome.DUPLICATE
+    assert center.ingest(record(2, 2, router_id=3, sensor_id=7, at=200)) is IngestOutcome.DUPLICATE
+    assert [(e.estimated_event_time, e.seq_no) for e in center.timeline(7)] == [(200, 2), (500, 1)]
+    assert [(e.estimated_event_time, e.seq_no) for e in held] == [(500, 1), (600, 2)]
+
 
 def test_bad_crc_copy_of_accepted_frame_is_malformed():
     center = MonitoringCenter()
@@ -623,14 +637,15 @@ class _BisectingTimeline(_Timeline):
         self.entries.insert(i, entry)
         self.times.insert(i, t)
 
-    def move(self, entry: TimelineEntry, t) -> None:
-        """Re-place a placed entry whose time is lowered to t."""
+    def move(self, entry: TimelineEntry, t) -> TimelineEntry:
+        """Re-place a placed entry whose time is lowered to t, and return it."""
         i = bisect_left(self.times, entry.estimated_event_time)
         while self.entries[i] is not entry:
             i += 1
         del self.entries[i], self.times[i]
         entry.estimated_event_time = t
         self.place(entry)
+        return entry
 
 
 def _timeline_ops(rng, count):
@@ -666,7 +681,7 @@ def _replay(timeline, ops):
             by_seq[seq] = TimelineEntry(at, seq, MsgType.EVENT, seq, b"")
             timeline.place(by_seq[seq])
         else:
-            timeline.move(by_seq[seq], at)
+            by_seq[seq] = timeline.move(by_seq[seq], at)
         assert timeline.times == [e.estimated_event_time for e in timeline.entries]
     return [(e.estimated_event_time, e.seq_no) for e in timeline.entries]
 

@@ -432,6 +432,12 @@ NUMBER_FIELDS = (
 )
 # Finite, but past the +-1e6 ppm bound on a clock's drift.
 DRIFT_OUT_OF_RANGE = (1.7e308, 1e6 + 1, -(1e6 + 1))
+# burst_day.json's sensor 0 has dP 0.1. From 2**49 quanta of it on, a P0 is
+# refused: rounding there can merge grid lines, and at 1e16 the crossing
+# search divided by zero. P0_EDGE is the largest P0 that validates.
+P0_BOUND = scenario.MAX_P0_QUANTA * 0.1
+P0_EDGE = math.nextafter(P0_BOUND, 0)
+P0_OUT_OF_RANGE = (P0_BOUND, -P0_BOUND, 1e16, 1e20, 1e308, -1e308)
 # burst_day.json runs to horizon + latency + jitter = 86_400_000 + 50 + 0;
 # each of these pushes that sum past MAX_SIMTIME.
 END_OF_RUN_OVERFLOWS = (
@@ -444,6 +450,7 @@ OUT_OF_RANGE_CASES = (
     + [(path, value, path) for path in NUMBER_FIELDS for value in (math.nan, math.inf, -math.inf, HUGE_INT)]
     + [(path, value, ("horizon",)) for path, value in END_OF_RUN_OVERFLOWS]
     + [(("routers", 0, "drift_ppm"), value, ("routers", 0, "drift_ppm")) for value in DRIFT_OUT_OF_RANGE]
+    + [(("sensors", 0, "P0"), value, ("sensors", 0, "P0")) for value in P0_OUT_OF_RANGE]
 )
 
 
@@ -459,7 +466,14 @@ def _error_path(path):
 
 def _case_id(case):
     path, value, error_path = case
-    names = {MAX_SIMTIME: "2**64-1", 2**64: "2**64", 2**70: "2**70", HUGE_INT: "10**400"}
+    names = {
+        MAX_SIMTIME: "2**64-1",
+        2**64: "2**64",
+        2**70: "2**70",
+        HUGE_INT: "10**400",
+        P0_BOUND: "2**49*dP",
+        -P0_BOUND: "-2**49*dP",
+    }
     return f"{_error_path(path)}={'end_of_run' if error_path != path else names.get(value, value)}"
 
 
@@ -483,9 +497,9 @@ def test_drift_at_its_bound_validates_and_runs(drift_ppm):
 # Each of these validates, but the signal strays 2**31 or more quanta from
 # P0, so no level fits a frame and walking the grid there would not end.
 EXTREME_LEVEL_CASES = (
-    (("sensors", 0, "P0"), 1e20),
-    (("sensors", 0, "P0"), 1e308),
-    (("sensors", 0, "P0"), -1e308),
+    (("sensors", 0, "P0"), 1e12),
+    (("sensors", 0, "P0"), -1e12),
+    (("sensors", 0, "P0"), P0_EDGE),
     (("signals", 0, "base_rate_per_hour"), 1e300),
     (("signals", 0, "intervals", 0, "rate_per_hour"), 1e308),
     (("sensors", 0, "dP"), 1e-300),
@@ -1243,7 +1257,7 @@ def test_cli_validate_reports_errors(tmp_path, capsys):
 
 def test_cli_run_reports_level_out_of_range(tmp_path, capsys):
     doc = json.loads((SCENARIO_DIR / "burst_day.json").read_text())
-    doc["sensors"][0]["P0"] = 1e20
+    doc["sensors"][0]["P0"] = 1e12
     path = tmp_path / "far.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
@@ -1273,6 +1287,32 @@ def test_cli_run_of_a_flat_signal_far_from_zero_sends_status_frames_only(tmp_pat
     assert [(row["msg_type"], row["estimated_event_time_ms"], row["level_index"]) for row in rows] == [
         ("STATUS", str(t), "0") for t in (250, 500, 750, 1000)
     ]
+
+
+@pytest.mark.parametrize("amplitude, noise_sigma", [(0.0, 0.0), (3.0, 0.05)], ids=["flat", "swinging"])
+def test_a_signal_at_the_largest_p0_that_validates_runs_to_the_end(amplitude, noise_sigma):
+    doc = minimal_config(
+        signals=[
+            {
+                "id": "s",
+                "kind": "ambient",
+                "unit": "hPa",
+                "mean": P0_EDGE,
+                "amplitude": amplitude,
+                "noise_sigma": noise_sigma,
+            }
+        ],
+    )
+    doc["sensors"][0].update(unit="hPa", dP=0.1, P0=P0_EDGE, mode="BIDIRECTIONAL", status_interval=600_000)
+    result = runner.run_scenario(scenario.validate(doc))
+    entries = result.center.timeline(1)
+    events = [e.level_index for e in entries if e.msg_type is MsgType.EVENT]
+    assert sum(e.msg_type is MsgType.STATUS for e in entries) == 6
+    if amplitude:
+        # the sinusoid swings 30 quanta either way, and the noise a few more
+        assert events and max(map(abs, events)) <= 40
+    else:
+        assert events == []
 
 
 @pytest.mark.parametrize(
