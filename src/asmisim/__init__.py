@@ -15,7 +15,7 @@ from .router import ForwardedRecord, RouterState, flush, local_clock, receive, t
 from .runner import RunResult, run_scenario, write_outputs
 from .scenario import Scenario, ScenarioValidationError, load, validate
 from .sensor import SensorDescriptor, SensorMode, SensorState, heartbeat, observe, sampling_driver
-from .signalgen import Signal, SignalKind, crossing_times, diurnal_signal, step_load_signal, value_at
+from .signalgen import Signal, crossing_times, diurnal_signal, step_load_signal, value_at
 from .simkernel import SimTime
 
 __version__ = "0.1.0"
@@ -40,7 +40,6 @@ __all__ = [
     "SensorMode",
     "SensorState",
     "Signal",
-    "SignalKind",
     "SimTime",
     "broadcast",
     "crc8",

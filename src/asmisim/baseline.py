@@ -17,6 +17,8 @@ from operator import attrgetter
 from .signalgen import Signal, value_at
 from .simkernel import SimTime
 
+DEFAULT_ERROR_GRID = 60_000
+
 
 class NonPositiveInterval(Exception):
     """Polling or grid interval must be a positive number of ms."""
@@ -99,7 +101,7 @@ def hold_error(
 def error_stats(
     truth: Signal,
     samples: list[AmiSample],
-    grid: SimTime = 60_000,
+    grid: SimTime = DEFAULT_ERROR_GRID,
     p0: float = 0.0,
 ) -> ErrorReport:
     """Sup/mean/RMS absolute error of the hold against truth on a uniform grid.

@@ -60,7 +60,9 @@ _WIRE_KEY = struct.Struct(">II")
 # A MsgType's name by dict lookup: Enum.name is a property, slow per row.
 _TYPE_NAMES = {t: t.name for t in MsgType}
 
-# Most texts timeline_lines() memoises per sensor before it starts over.
+# Most texts timeline_lines() memoises per sensor before it starts over. A
+# meter never returns to a level it has left, so without it the memo would
+# hold about one text per row of such a sensor while it is written.
 _MEMO_SIZE = 512
 
 

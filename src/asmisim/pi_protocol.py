@@ -41,7 +41,7 @@ class PiProtocolError(Exception):
 
 
 class InvalidHeader(PiProtocolError):
-    """Encode refused: version or msg_type out of range."""
+    """Encode refused: msg_type or a body field out of range."""
 
 
 class BadLength(PiProtocolError):
@@ -60,12 +60,12 @@ class UnknownType(PiProtocolError):
     """Decode refused: msg_type nibble is neither EVENT nor STATUS."""
 
 
-def _build_crc_table(poly: int = 0x07) -> tuple[int, ...]:
+def _build_crc_table() -> tuple[int, ...]:
     table = []
     for byte in range(256):
         crc = byte
         for _ in range(8):
-            crc = ((crc << 1) ^ poly) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
+            crc = ((crc << 1) ^ 0x07) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
         table.append(crc)
     return tuple(table)
 
@@ -82,7 +82,7 @@ def crc8(data: bytes) -> int:
 
 
 class PiFrame(NamedTuple):
-    """One sensor transmission. The checksum lives only on the wire.
+    """One sensor transmission. Its version and checksum live only on the wire.
 
     Immutable, and equal to the plain tuple of its fields in this order.
     """
@@ -91,25 +91,25 @@ class PiFrame(NamedTuple):
     sensor_id: int
     seq_no: int
     level_index: int
-    version: int = PI_VERSION
 
 
-# The header byte of each accepted (version, msg_type), and back.
-_HEADERS = {(PI_VERSION, t): (PI_VERSION << 4) | t for t in MsgType}
-_HEADER_TYPES = {header: t for (_, t), header in _HEADERS.items()}
+# The header byte of each msg_type, and back.
+_HEADERS = {t: (PI_VERSION << 4) | t for t in MsgType}
+_HEADER_TYPES = {header: t for t, header in _HEADERS.items()}
 _CRC_BYTES = tuple(bytes((crc,)) for crc in range(256))
 
 
 def encode(frame: PiFrame) -> bytes:
     """Serialize a frame to its 14-byte wire form.
 
-    Every refusal is InvalidHeader: a version or msg_type with no header
-    byte, or a body field that is not an integer in its wire range.
+    The header byte carries PI_VERSION. Every refusal is InvalidHeader: a
+    msg_type with no header byte, or a body field that is not an integer in
+    its wire range.
     """
     try:
-        header = _HEADERS[frame.version, frame.msg_type]
-    except (KeyError, TypeError):  # TypeError: an unhashable field
-        raise InvalidHeader(f"no header for version {frame.version!r}, msg_type {frame.msg_type!r}") from None
+        header = _HEADERS[frame.msg_type]
+    except (KeyError, TypeError):  # TypeError: an unhashable msg_type
+        raise InvalidHeader(f"no header for msg_type {frame.msg_type!r}") from None
     try:
         body = _BODY.pack(header, frame.sensor_id, frame.seq_no, frame.level_index)
     except struct.error as exc:

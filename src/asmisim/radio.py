@@ -15,6 +15,8 @@ from .pi_protocol import PiFrame, encode
 from .rng import derive_rng
 from .simkernel import SimTime
 
+DEFAULT_LATENCY = 50
+
 
 class UncoveredSensor(Exception):
     """A sensor broadcast with no router in range."""
@@ -23,7 +25,7 @@ class UncoveredSensor(Exception):
 @dataclass(frozen=True)
 class ChannelSpec:
     loss_prob: float = 0.0
-    latency: SimTime = 50
+    latency: SimTime = DEFAULT_LATENCY
     jitter: SimTime = 0
 
 

@@ -26,6 +26,9 @@ from typing import NamedTuple
 from .pi_protocol import FRAME_LEN
 from .simkernel import SimTime
 
+DEFAULT_FLUSH_INTERVAL = 60_000
+DEFAULT_SYNC_INTERVAL = 3_600_000
+
 
 class ForwardedRecord(NamedTuple):
     """A stamped frame on the backhaul; equal to the plain tuple of its fields."""
@@ -39,11 +42,11 @@ class ForwardedRecord(NamedTuple):
 class RouterState:
     router_id: int
     drift_ppm: float = 0.0
-    flush_interval: SimTime = 60_000
+    flush_interval: SimTime = DEFAULT_FLUSH_INTERVAL
     sync_residual: int = 0
     # Synced at 0 and at each multiple of sync_interval up to sync_until;
     # by default synced at 0 and never again.
-    sync_interval: SimTime = 3_600_000
+    sync_interval: SimTime = DEFAULT_SYNC_INTERVAL
     sync_until: SimTime = 0
     # flush instant -> [(true receipt time, emission time, frame bytes), ...] as heard
     pending: dict[SimTime, list[tuple[SimTime, SimTime, bytes]]] = field(default_factory=dict, init=False)

@@ -18,35 +18,28 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .radio import ChannelSpec, CoverageMap
+from .baseline import DEFAULT_ERROR_GRID
+from .radio import DEFAULT_LATENCY, ChannelSpec, CoverageMap
+from .router import DEFAULT_FLUSH_INTERVAL, DEFAULT_SYNC_INTERVAL
 from .sensor import SensorDescriptor, SensorMode
-from .signalgen import (
-    DAY_MS,
-    DiurnalSpec,
-    LoadInterval,
-    SignalKind,
-    StepLoadSpec,
-)
+from .signalgen import DAY_MS, DEFAULT_NOISE_STEP, DiurnalSpec, LoadInterval, StepLoadSpec
 from .simkernel import MAX_SIMTIME
-
-DEFAULT_LATENCY = 50
-DEFAULT_FLUSH_INTERVAL = 60_000
-DEFAULT_SYNC_INTERVAL = 3_600_000
-DEFAULT_ERROR_GRID = 60_000
 
 MAX_SEED = 2**64 - 1
 MAX_SENSOR_ID = 2**32 - 1
 # A clock that gains or loses more than a second per second is not a clock;
 # the bound also keeps drift_ppm * elapsed time finite for any SimTime.
 MAX_DRIFT_PPM = 1_000_000
-# A run holds four grids over the horizon in memory, each about horizon //
+# A run holds five counts over the horizon in memory, each about horizon //
 # step entries: each signal's truth on the error grid, each sensor's polls at
-# a fixed baseline dt, an ambient signal's noise walk and its breakpoints (a
-# noise tick, and an extremum per half-period). One bound caps each. On
-# quiet_day.json just inside it (a shared 2-core machine), the polls (dt 87)
-# took 4.4 s and 339 MiB peak RSS, the walk (noise_step 87) 2.7 s and 225
-# MiB, the extrema (period 173) 3.4 s and 326 MiB. It fits a 1-minute step
-# over 694 days; a 1 ms step over one day would need 86 400 000 entries.
+# a fixed baseline dt and its STATUS frames, an ambient signal's noise walk
+# and its breakpoints (a noise tick, and an extremum per half-period). One
+# bound caps each. On quiet_day.json just inside it (a shared 2-core
+# machine), the polls (dt 87) took 4.4 s and 339 MiB peak RSS, the walk
+# (noise_step 87) 2.7 s and 225 MiB, the extrema (period 173) 3.4 s and 326
+# MiB, one sensor's STATUS frames (status_interval 87) 9.7 s and 637 MiB. It
+# fits a 1-minute step over 694 days; a 1 ms step over one day would need
+# 86 400 000 entries.
 MAX_GRID_POINTS = 1_000_000
 # |P0| must stay under MAX_P0_QUANTA quanta of dP. The solve walks grid lines
 # P0 + k*dP only within 2**31 quanta of P0 (LevelOutOfRange beyond), so every
@@ -216,7 +209,7 @@ def _signal(errors: Errors, path: str, raw: dict, sid: str, unit: str, horizon: 
             _int(errors, raw, path, "period", DAY_MS, POSITIVE_MS, lo=1),
             _int(errors, raw, path, "phase", 0, ANY_MS, lo=-MAX_SIMTIME),
             _num(errors, raw, path, "noise_sigma", 0.0, NON_NEGATIVE_NUMBER, lo=0),
-            _int(errors, raw, path, "noise_step", 60_000, POSITIVE_MS, lo=1),
+            _int(errors, raw, path, "noise_step", DEFAULT_NOISE_STEP, POSITIVE_MS, lo=1),
         )
         if None in values:
             return None
@@ -270,11 +263,13 @@ def validate(doc: dict) -> Scenario:
         if mode is None:
             _fail(errors, path, "mode", "must be 'MONOTONIC' or 'BIDIRECTIONAL'")
         status_interval = _int(errors, raw, path, "status_interval", None, POSITIVE_MS, lo=1)
+        if None not in (horizon, status_interval):
+            _bound(errors, path, "status_interval", horizon // status_interval, "status frames")
         signal_ref = raw.get("signal")
         if not isinstance(signal_ref, str) or signal_ref not in signals:
             _fail(errors, path, "signal", f"unknown signal id {signal_ref!r}")
             signal_ref = None
-        elif mode is SensorMode.MONOTONIC and signals[signal_ref].spec.kind is not SignalKind.CUMULATIVE:
+        elif mode is SensorMode.MONOTONIC and type(signals[signal_ref].spec) is not StepLoadSpec:
             _fail(errors, path, "mode", "MONOTONIC requires a cumulative signal")
             mode = None
         if None in (sensor_id, dp, p0, mode, status_interval, signal_ref):

@@ -2,11 +2,12 @@
 
 Two families cover the monitored parameter classes:
 
-* CUMULATIVE — non-decreasing resource counters (kWh, m3, ...) built from a
-  base consumption rate plus step-load intervals.
-* AMBIENT — bidirectional environmental parameters (degC, hPa, ug/m3, ...):
-  a diurnal sinusoid plus a seeded random walk that is piecewise-constant
-  between noise ticks, so exact crossing instants are well defined.
+* CUMULATIVE (StepLoadSpec) — non-decreasing resource counters (kWh, m3,
+  ...) built from a base consumption rate plus step-load intervals.
+* AMBIENT (DiurnalSpec) — bidirectional environmental parameters (degC,
+  hPa, ug/m3, ...): a diurnal sinusoid plus a seeded random walk that is
+  piecewise-constant between noise ticks, so exact crossing instants are
+  well defined.
 
 A Signal is defined over one horizon [0, horizon], which it carries; every
 function that takes a Signal evaluates it over that horizon and asks for no
@@ -20,16 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from itertools import accumulate
-from typing import ClassVar
 
 from .rng import derive_rng
 from .simkernel import SimTime
 
 MS_PER_HOUR = 3_600_000
 DAY_MS = 86_400_000
+DEFAULT_NOISE_STEP = 60_000
 
 
 class SignalError(Exception):
@@ -52,11 +52,6 @@ class LevelOutOfRange(SignalError):
     """
 
 
-class SignalKind(str, Enum):
-    CUMULATIVE = "CUMULATIVE"
-    AMBIENT = "AMBIENT"
-
-
 @dataclass(frozen=True)
 class LoadInterval:
     start: SimTime
@@ -68,7 +63,6 @@ class LoadInterval:
 class StepLoadSpec:
     """Piecewise-constant consumption rate: base plus overlapping intervals."""
 
-    kind: ClassVar[SignalKind] = SignalKind.CUMULATIVE
     base_rate_per_hour: float = 0.0
     intervals: tuple[LoadInterval, ...] = ()
 
@@ -77,20 +71,19 @@ class StepLoadSpec:
 class DiurnalSpec:
     """mean + amplitude*sin(2*pi*(t - phase)/period) + random-walk noise."""
 
-    kind: ClassVar[SignalKind] = SignalKind.AMBIENT
     mean: float
     amplitude: float
     period: SimTime = DAY_MS
     phase: SimTime = 0
     noise_sigma: float = 0.0
-    noise_step: SimTime = 60_000
+    noise_step: SimTime = DEFAULT_NOISE_STEP
 
 
 @dataclass(frozen=True)
 class Signal:
     """A ground-truth parameter on [0, horizon]: spec, unit, seed and horizon define it.
 
-    The spec's type gives the kind. horizon is required and keyword-only.
+    The spec's type is the kind. horizon is required and keyword-only.
     The tables an evaluation needs are cached properties, built on first
     use and then read by every caller; they are not fields, so ==, hash
     and repr ignore them by construction.
@@ -162,7 +155,7 @@ def diurnal_signal(
     period: SimTime = DAY_MS,
     phase: SimTime = 0,
     noise_sigma: float = 0.0,
-    noise_step: SimTime = 60_000,
+    noise_step: SimTime = DEFAULT_NOISE_STEP,
     unit: str = "degC",
     seed: int = 0,
     *,

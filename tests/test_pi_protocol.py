@@ -131,9 +131,7 @@ def test_encode_rejects_out_of_range_fields():
     assert decode(encode(good)) == good
 
 
-def test_encode_rejects_bad_version_and_type():
-    with pytest.raises(InvalidHeader):
-        encode(PiFrame(MsgType.EVENT, 1, 1, 0, version=2))
+def test_encode_rejects_bad_type():
     with pytest.raises(InvalidHeader):
         encode(PiFrame(9, 1, 1, 0))
 
@@ -142,10 +140,9 @@ def test_frame_is_an_immutable_tuple_in_field_order():
     frame = PiFrame(MsgType.STATUS, 7, 8, -9)
     with pytest.raises(AttributeError):
         frame.seq_no = 9
-    msg_type, sensor_id, seq_no, level_index, version = frame
-    assert (msg_type, sensor_id, seq_no, level_index, version) == (MsgType.STATUS, 7, 8, -9, PI_VERSION)
-    assert frame == (MsgType.STATUS, 7, 8, -9, 1) == tuple(frame)
-    assert frame.version == 1
+    msg_type, sensor_id, seq_no, level_index = frame
+    assert (msg_type, sensor_id, seq_no, level_index) == (MsgType.STATUS, 7, 8, -9)
+    assert frame == (MsgType.STATUS, 7, 8, -9) == tuple(frame)
     decoded = decode(encode(frame))
     assert type(decoded) is PiFrame and decoded == frame
     assert type(decoded.msg_type) is MsgType
@@ -158,8 +155,6 @@ _BODY = struct.Struct(">BIIi")
 
 def _reference_encode(frame: PiFrame) -> bytes:
     """Serialize a frame to its 14-byte wire form."""
-    if frame.version != PI_VERSION:
-        raise InvalidHeader(f"version must be {PI_VERSION}, got {frame.version}")
     if frame.msg_type not in (MsgType.EVENT, MsgType.STATUS):
         raise InvalidHeader(f"unknown msg_type {frame.msg_type!r}")
     if not 0 <= frame.sensor_id < 2**32:
@@ -169,7 +164,7 @@ def _reference_encode(frame: PiFrame) -> bytes:
     if not -(2**31) <= frame.level_index < 2**31:
         raise InvalidHeader(f"level_index {frame.level_index} outside signed 32-bit range")
     body = _BODY.pack(
-        (frame.version << 4) | int(frame.msg_type),
+        (PI_VERSION << 4) | int(frame.msg_type),
         frame.sensor_id,
         frame.seq_no,
         frame.level_index,
@@ -266,7 +261,7 @@ def test_encode_matches_reference_on_the_valid_domain():
 HOSTILE_FIELD_VALUES = (None, "7", b"\x01", 1.5, 1.0, -1, 2**31, 2**32, float("nan"), float("inf"), [], {}, 3, 0)
 
 
-@pytest.mark.parametrize("field", ["version", "msg_type", "sensor_id", "seq_no", "level_index"])
+@pytest.mark.parametrize("field", ["msg_type", "sensor_id", "seq_no", "level_index"])
 def test_encode_refuses_hostile_fields_with_invalid_header_only(field):
     good = PiFrame(MsgType.STATUS, 7, 8, -9)
     for value in HOSTILE_FIELD_VALUES:
@@ -274,10 +269,6 @@ def test_encode_refuses_hostile_fields_with_invalid_header_only(field):
         expected = _outcome(_reference_encode, frame)
         if isinstance(expected, bytes):
             assert encode(frame) == expected, value
-        elif field == "version" and value == PI_VERSION:
-            # The reference leaked TypeError from `1.0 << 4`. A version equal
-            # to 1 now encodes as 1, as a msg_type equal to 1 or 2 always did.
-            assert encode(frame) == encode(good)
         else:
             with pytest.raises(InvalidHeader):
                 encode(frame)

@@ -547,9 +547,10 @@ def test_an_error_grid_with_too_many_points_raises_validation_error(error_grid, 
 
 
 # quiet_day.json's horizon is one day, with a fixed baseline dt and an ambient
-# signal: a 1 ms step would poll, tick or turn 86 400 000 times or more. Each
-# case is (path, value, horizon or None, count or None if it validates); each
-# bound sits between two cases, and the counts are those MAX_GRID_POINTS caps.
+# signal: a 1 ms step would poll, tick, turn or send STATUS 86 400 000 times or
+# more. Each case is (path, value, horizon or None, count or None if it
+# validates); each bound sits between two cases, and the counts are those
+# MAX_GRID_POINTS caps.
 GRID_COUNT_CASES = (
     (("baseline", "dt"), 1, None, 86_400_000),
     (("baseline", "dt"), 86, None, 1_004_651),
@@ -564,8 +565,16 @@ GRID_COUNT_CASES = (
     (("signals", 1, "period"), 173, None, None),
     (("signals", 1, "period"), 200, scenario.MAX_GRID_POINTS * 100, None),
     (("signals", 1, "period"), 200, (scenario.MAX_GRID_POINTS + 1) * 100, scenario.MAX_GRID_POINTS + 1),
+    (("sensors", 0, "status_interval"), 1, None, 86_400_000),
+    (("sensors", 0, "status_interval"), 86, None, 1_004_651),
+    (("sensors", 0, "status_interval"), 87, None, None),
 )
-GRID_COUNT_NAMES = {"dt": "polls", "noise_step": "noise ticks", "period": "half-periods"}
+GRID_COUNT_NAMES = {
+    "dt": "polls",
+    "noise_step": "noise ticks",
+    "period": "half-periods",
+    "status_interval": "status frames",
+}
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from asmisim.signalgen import (
     NonPositiveDelta,
     OutOfHorizon,
     Signal,
-    SignalKind,
     StepLoadSpec,
     crossing_times,
     diurnal_signal,
@@ -422,19 +421,10 @@ def test_signal_equality_and_repr_ignore_evaluation_history():
     assert a != diurnal_signal(20.0, 2.0, noise_sigma=0.1, seed=4, horizon=10**7)
 
 
-def test_each_spec_type_gives_its_kind():
-    assert StepLoadSpec.kind is StepLoadSpec(1.0).kind is SignalKind.CUMULATIVE
-    assert DiurnalSpec.kind is DiurnalSpec(20.0, 2.0).kind is SignalKind.AMBIENT
-    assert step_load_signal(1.0, horizon=1000).spec.kind is SignalKind.CUMULATIVE
-    assert diurnal_signal(20.0, 2.0, horizon=1000).spec.kind is SignalKind.AMBIENT
-    # The kind is no field: it is neither set, compared nor shown.
-    assert not [f for spec in (StepLoadSpec, DiurnalSpec) for f in dataclasses.fields(spec) if f.name == "kind"]
-
-
 def test_only_the_definition_of_a_signal_is_settable():
     assert list(inspect.signature(Signal).parameters) == ["spec", "unit", "seed", "horizon"]
     with pytest.raises(TypeError):
-        Signal(kind=SignalKind.CUMULATIVE, spec=DiurnalSpec(20.0, 2.0), horizon=1000)
+        Signal(kind="CUMULATIVE", spec=DiurnalSpec(20.0, 2.0), horizon=1000)
     with pytest.raises(TypeError):
         Signal(StepLoadSpec(1.0), horizon=3_600_000, _load_terms=((0, 10, 1e9, 5.0),))
     sig = step_load_signal(1.0, horizon=3_600_000)
