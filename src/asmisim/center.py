@@ -18,10 +18,11 @@ accepted frame skips decode and goes straight to dedup: the CRC is checked
 once per distinct byte string. Any other record, a corrupted or truncated
 copy included, is decoded in full.
 
-Each sensor's timeline is kept in (estimated time, seq_no) order at
-ingest, so queries read it as it stands. A frame from a sensor not yet
-registered is quarantined under its sensor id; registering the sensor
-replays only its own frames, in arrival order.
+A registered sensor has one record, its _Timeline: the descriptor, the
+location, and the accepted entries by seq_no and in (estimated time,
+seq_no) order as ingest keeps them, so queries read them as they stand. A
+frame from a sensor not yet registered joins one quarantine queue in
+arrival order; registering the sensor replays only its own frames.
 
 Reconstruction is a zero-order hold over the per-sensor timeline: between
 records the last known grid level stands. Because every EVENT carries the
@@ -45,7 +46,6 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import count
 
 from . import pi_protocol
 from .pi_protocol import FRAME_LEN, MsgType
@@ -98,9 +98,12 @@ class TimelineEntry:
 
 @dataclass(slots=True)
 class _Timeline:
-    """One sensor's accepted entries: by seq_no for dedup, and in
-    (estimated time, seq_no) order with a parallel list of their times."""
+    """A registered sensor's one record: its descriptor and location, and its
+    accepted entries by seq_no for dedup and in (estimated time, seq_no)
+    order with a parallel list of their times."""
 
+    descriptor: SensorDescriptor
+    location: str = ""
     by_seq: dict[int, TimelineEntry] = field(default_factory=dict)
     entries: list[TimelineEntry] = field(default_factory=list)
     times: list[SimTime] = field(default_factory=list)
@@ -140,18 +143,6 @@ class _Timeline:
         return moved
 
 
-@dataclass(frozen=True)
-class RegisteredSensor:
-    descriptor: SensorDescriptor
-    location: str
-
-
-@dataclass(frozen=True)
-class RegisteredRouter:
-    location: str
-    sync_residual: int = 0
-
-
 TIMELINE_CSV_COLUMNS = (
     "sensor_id",
     "seq_no",
@@ -166,35 +157,37 @@ TIMELINE_CSV_COLUMNS = (
 class MonitoringCenter:
     def __init__(self, nominal_latency: SimTime = 0) -> None:
         self.nominal_latency = nominal_latency
-        self.sensors: dict[int, RegisteredSensor] = {}
-        self.routers: dict[int, RegisteredRouter] = {}
+        # router_id -> location, as registered
+        self.routers: dict[int, str] = {}
         # router_id -> sync residual, as registered; an unknown router's is 0
         self._residuals: dict[int, int] = {}
         self.counters: dict[str, int] = {"accepted": 0, "deduped": 0, "quarantined": 0, "malformed": 0}
+        # sensor_id -> the registered sensor's one record
         self._timelines: dict[int, _Timeline] = {}
-        # sensor_id -> [(arrival number, record)] for sensors not yet registered
-        self._quarantine: dict[int, list[tuple[int, ForwardedRecord]]] = {}
-        self._arrivals = count()
+        # (sensor_id, record) for sensors not yet registered, in arrival order
+        self._quarantine: list[tuple[int, ForwardedRecord]] = []
 
     # -- registry ---------------------------------------------------------
 
     def register_sensor(self, descriptor: SensorDescriptor, location: str = "") -> None:
-        """Add a sensor; frames that arrived early are replayed in order."""
-        if descriptor.sensor_id in self.sensors:
-            raise DuplicateRegistration(f"sensor {descriptor.sensor_id}")
-        self.sensors[descriptor.sensor_id] = RegisteredSensor(descriptor, location)
-        self._timelines[descriptor.sensor_id] = _Timeline()
-        for _, rec in self._quarantine.pop(descriptor.sensor_id, ()):
-            self.counters["quarantined"] -= 1
+        """Add a sensor; its frames that arrived early are replayed in order."""
+        sensor_id = descriptor.sensor_id
+        if sensor_id in self._timelines:
+            raise DuplicateRegistration(f"sensor {sensor_id}")
+        self._timelines[sensor_id] = _Timeline(descriptor, location)
+        replay = [rec for held_id, rec in self._quarantine if held_id == sensor_id]
+        self._quarantine = [held for held in self._quarantine if held[0] != sensor_id]
+        self.counters["quarantined"] -= len(replay)
+        for rec in replay:
             self.ingest(rec)
 
     def register_router(self, router_id: int, location: str = "", sync_residual: int = 0) -> None:
-        self.routers[router_id] = RegisteredRouter(location, sync_residual)
+        self.routers[router_id] = location
         self._residuals[router_id] = sync_residual
 
     def quarantined_records(self) -> list[ForwardedRecord]:
         """Records held for unregistered sensors, in global arrival order."""
-        return [rec for _, rec in sorted(p for held in self._quarantine.values() for p in held)]
+        return [rec for _, rec in self._quarantine]
 
     # -- ingest -----------------------------------------------------------
 
@@ -202,51 +195,49 @@ class MonitoringCenter:
         """Process one forwarded record; every outcome is a returned status."""
         router_id, data, local = rec
         corrected = local - self._residuals.get(router_id, 0) - self.nominal_latency
-        store = existing = None
+        store = found = None
         if len(data) == FRAME_LEN:
             sensor_id, seq_no = _WIRE_KEY.unpack_from(data, 1)
             store = self._timelines.get(sensor_id)
             if store is not None:
-                existing = store.by_seq.get(seq_no)
-                if existing is not None and existing.frame_bytes != data:
-                    existing = None
-        if existing is None:
+                found = store.by_seq.get(seq_no)
+        if found is None or found.frame_bytes != data:
             try:
                 frame = pi_protocol.decode(data)
             except pi_protocol.PiProtocolError:
                 self.counters["malformed"] += 1
                 return IngestOutcome.MALFORMED
-            # decode takes only FRAME_LEN bytes: `store` is this frame's sensor's
+            # decode takes only FRAME_LEN bytes: `store` and `found` are this
+            # frame's sensor's and seq_no's
             if store is None:
-                self._quarantine.setdefault(frame.sensor_id, []).append((next(self._arrivals), rec))
+                self._quarantine.append((frame.sensor_id, rec))
                 self.counters["quarantined"] += 1
                 return IngestOutcome.QUARANTINED
-            existing = store.by_seq.get(frame.seq_no)
-            if existing is None:
+            if found is None:
                 entry = TimelineEntry(corrected, frame.level_index, frame.msg_type, frame.seq_no, bytes(data))
                 store.by_seq[frame.seq_no] = entry
                 store.place(entry)
                 self.counters["accepted"] += 1
                 return IngestOutcome.ACCEPTED
-        if corrected < existing.estimated_event_time:
-            store.move(existing, corrected)
+        if corrected < found.estimated_event_time:
+            store.move(found, corrected)
         self.counters["deduped"] += 1
         return IngestOutcome.DUPLICATE
 
     # -- queries ----------------------------------------------------------
 
-    def _sensor(self, sensor_id: int) -> tuple[SensorDescriptor, _Timeline]:
-        registered = self.sensors.get(sensor_id)
-        if registered is None:
+    def _sensor(self, sensor_id: int) -> _Timeline:
+        store = self._timelines.get(sensor_id)
+        if store is None:
             raise UnknownSensor(f"sensor {sensor_id}")
-        return registered.descriptor, self._timelines[sensor_id]
+        return store
 
     def timeline(self, sensor_id: int) -> list[TimelineEntry]:
         """Accepted records in (estimated time, seq_no) order, as ingest keeps
         them. Neither the list nor its entries change with later ingests: a
         duplicate that lowers an entry's time replaces the entry in the
         center, and the returned list keeps the old one."""
-        return list(self._sensor(sensor_id)[1].entries)
+        return list(self._sensor(sensor_id).entries)
 
     def reconstruct(self, sensor_id: int, t: SimTime) -> tuple[float, float]:
         """Zero-order-hold value estimate at t, with uncertainty halfwidth.
@@ -255,8 +246,8 @@ class MonitoringCenter:
         records bracketing t (at least one quantum): a run of unseen frames
         widens it, a fully observed stretch keeps it at dp.
         """
-        descriptor, store = self._sensor(sensor_id)
-        entries = store.entries
+        store = self._sensor(sensor_id)
+        descriptor, entries = store.descriptor, store.entries
         idx = bisect_right(store.times, t) - 1
         before = entries[idx] if idx >= 0 else None
         after = entries[idx + 1] if idx + 1 < len(entries) else None
@@ -284,9 +275,9 @@ class MonitoringCenter:
             raise ValueError(f"t0={t0} > t1={t1}")
         if step <= 0:
             raise ValueError(f"step must be positive, got {step}")
-        descriptor, store = self._sensor(sensor_id)
+        store = self._sensor(sensor_id)
         entries, times = store.entries, store.times
-        p0, dp = descriptor.p0, descriptor.dp
+        p0, dp = store.descriptor.p0, store.descriptor.dp
         last = len(entries) - 1
         idx = -1
         out = []
@@ -308,7 +299,7 @@ class MonitoringCenter:
 
     def detect_gaps(self, sensor_id: int) -> list[tuple[int, int]]:
         """Maximal missing seq_no ranges between the lowest and highest seen."""
-        seqs = sorted(self._sensor(sensor_id)[1].by_seq)
+        seqs = sorted(self._sensor(sensor_id).by_seq)
         gaps = []
         for prev, cur in zip(seqs, seqs[1:]):
             if cur > prev + 1:
@@ -317,9 +308,9 @@ class MonitoringCenter:
 
     def liveness(self, sensor_id: int, now: SimTime) -> Liveness:
         """SILENT once nothing has been heard for over two status intervals."""
-        descriptor, store = self._sensor(sensor_id)
+        store = self._sensor(sensor_id)
         last = store.times[-1] if store.times else 0
-        if now - last > 2 * descriptor.status_interval:
+        if now - last > 2 * store.descriptor.status_interval:
             return Liveness.SILENT
         return Liveness.OK
 
@@ -335,10 +326,10 @@ class MonitoringCenter:
         it, and it is the tests' oracle for timeline_lines().
         """
         rows = []
-        for sensor_id in sorted(self.sensors):
-            descriptor = self.sensors[sensor_id].descriptor
+        for sensor_id, store in sorted(self._timelines.items()):
+            descriptor = store.descriptor
             prev_seq = 0
-            for entry in self._timelines[sensor_id].entries:
+            for entry in store.entries:
                 value = descriptor.p0 + descriptor.dp * entry.level_index
                 uncertainty = descriptor.dp * max(1, entry.seq_no - prev_seq)
                 rows.append(
@@ -364,14 +355,13 @@ class MonitoringCenter:
         gap (<= 0 where seq order inverts). The memos are per sensor, as p0
         and dp are, and start over at _MEMO_SIZE texts to bound memory.
         """
-        for sensor_id in sorted(self.sensors):
-            descriptor = self.sensors[sensor_id].descriptor
-            p0, dp = descriptor.p0, descriptor.dp
+        for sensor_id, store in sorted(self._timelines.items()):
+            p0, dp = store.descriptor.p0, store.descriptor.dp
             levels: dict[int, str] = {}
             gaps: dict[int, str] = {}
             head = f"{sensor_id},"
             prev_seq = 0
-            for entry in self._timelines[sensor_id].entries:
+            for entry in store.entries:
                 level, seq_no = entry.level_index, entry.seq_no
                 level_text = levels.get(level)
                 if level_text is None:

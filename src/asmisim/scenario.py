@@ -23,24 +23,13 @@ from .radio import DEFAULT_LATENCY, ChannelSpec, CoverageMap
 from .router import DEFAULT_FLUSH_INTERVAL, DEFAULT_SYNC_INTERVAL
 from .sensor import SensorDescriptor, SensorMode
 from .signalgen import DAY_MS, DEFAULT_NOISE_STEP, DiurnalSpec, LoadInterval, StepLoadSpec
-from .simkernel import MAX_SIMTIME
+from .simkernel import MAX_GRID_POINTS, MAX_SIMTIME
 
 MAX_SEED = 2**64 - 1
 MAX_SENSOR_ID = 2**32 - 1
 # A clock that gains or loses more than a second per second is not a clock;
 # the bound also keeps drift_ppm * elapsed time finite for any SimTime.
 MAX_DRIFT_PPM = 1_000_000
-# A run holds five counts over the horizon in memory, each about horizon //
-# step entries: each signal's truth on the error grid, each sensor's polls at
-# a fixed baseline dt and its STATUS frames, an ambient signal's noise walk
-# and its breakpoints (a noise tick, and an extremum per half-period). One
-# bound caps each. On quiet_day.json just inside it (a shared 2-core
-# machine), the polls (dt 87) took 4.4 s and 339 MiB peak RSS, the walk
-# (noise_step 87) 2.7 s and 225 MiB, the extrema (period 173) 3.4 s and 326
-# MiB, one sensor's STATUS frames (status_interval 87) 9.7 s and 637 MiB. It
-# fits a 1-minute step over 694 days; a 1 ms step over one day would need
-# 86 400 000 entries.
-MAX_GRID_POINTS = 1_000_000
 # |P0| must stay under MAX_P0_QUANTA quanta of dP. The solve walks grid lines
 # P0 + k*dP only within 2**31 quanta of P0 (LevelOutOfRange beyond), so every
 # line a run reaches lies under about 2**49 quanta from 0. A double rounds

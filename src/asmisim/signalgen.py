@@ -23,9 +23,10 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
+from operator import itemgetter
 
 from .rng import derive_rng
-from .simkernel import SimTime
+from .simkernel import MAX_GRID_POINTS, SimTime
 
 MS_PER_HOUR = 3_600_000
 DAY_MS = 86_400_000
@@ -49,6 +50,16 @@ class LevelOutOfRange(SignalError):
 
     No such level fits the frame's signed 32-bit level_index, and walking
     the grid out to it would take one step per quantum.
+    """
+
+
+class TooManyCrossings(SignalError):
+    """A sensor's crossing solve would travel more than MAX_GRID_POINTS quanta.
+
+    The travel is |value at 0 - P0| plus the signal's total variation, in
+    quanta of dP. Each crossing after the first takes dP less twice the
+    slack of it, so the travel bounds the walk, which past the cap would
+    run for minutes to days.
     """
 
 
@@ -125,6 +136,21 @@ class Signal:
             if b > prev:
                 rows.append((b, value_at(self, b - 1) if b - 1 > prev else None, value_at(self, b)))
         return tuple(rows)
+
+    @cached_property
+    def _extent(self) -> tuple:
+        """((t, v) at the lowest value, (t, v) at the highest, total variation).
+
+        The signal is monotone between consecutive points of the breakpoint
+        table, the b - 1 points included, so the table gives all three exactly.
+        """
+        points = []
+        for b, vw, vb in self._breakpoint_table:
+            if vw is not None:
+                points.append((b - 1, vw))
+            points.append((b, vb))
+        variation = sum(abs(v - u) for (_, u), (_, v) in zip(points, points[1:]))
+        return min(points, key=itemgetter(1)), max(points, key=itemgetter(1)), variation
 
     @cached_property
     def _level_runs(self) -> dict:
@@ -206,21 +232,18 @@ def _breakpoints(signal: Signal) -> list[SimTime]:
                 if 0 < edge < horizon:
                     pts.add(edge)
         return sorted(pts)
-    # Sinusoid extrema at phase + (1/4 + n/2) * period.
-    quarter = spec.period / 4.0
-    n0 = math.floor((0 - spec.phase - quarter) / (spec.period / 2.0)) - 1
-    ext = spec.phase + quarter + n0 * (spec.period / 2.0)
-    while ext <= horizon + spec.period / 2.0:
-        if 0 < ext < horizon:
+    # Sinusoid extrema at phase + (1/4 + n/2) * period, from the last one
+    # before 0. phase % period is an exact int however far the phase is, so
+    # no extremum carries the rounding of a product near the phase.
+    ext = spec.phase % spec.period + spec.period / 4.0 - spec.period
+    while ext < horizon:
+        if ext > 0:
             pts.add(math.floor(ext))
             pts.add(math.ceil(ext))
         ext += spec.period / 2.0
     if spec.noise_sigma != 0.0:
-        tick = spec.noise_step
-        while tick < horizon:
-            pts.add(tick)
-            tick += spec.noise_step
-    return sorted(p for p in pts if 0 <= p <= horizon)
+        pts.update(range(spec.noise_step, horizon, spec.noise_step))
+    return sorted(pts)
 
 
 def reach_tolerance(threshold: float, dp: float) -> float:
@@ -253,22 +276,28 @@ def crossing_times(signal: Signal, p0: float, dp: float) -> list[tuple[SimTime, 
     holds. The segment ends and their values come from the signal's
     breakpoint table, so only the search inside a segment calls value_at,
     and a second call on the same signal evaluates no breakpoint again.
-    Raises LevelOutOfRange once the signal strays 2**31 or more quanta from
-    p0.
+    Before it walks, it raises LevelOutOfRange if the signal strays 2**31 or
+    more quanta from p0, and TooManyCrossings if the walk would travel more
+    than MAX_GRID_POINTS quanta.
     """
     if dp <= 0:
         raise NonPositiveDelta(f"dp must be positive, got {dp}")
+    lowest, highest, variation = signal._extent
+    t, v = lowest if p0 - lowest[1] >= highest[1] - p0 else highest
+    if abs(v - p0) >= 2**31 * dp:
+        raise LevelOutOfRange(f"value {v!r} at t={t} is 2**31 or more quanta of dP {dp!r} from P0 {p0!r}")
+    travel = (abs(signal._breakpoint_table[0][2] - p0) + variation) / dp
+    if travel > MAX_GRID_POINTS:
+        raise TooManyCrossings(
+            f"the crossing solve for dP {dp!r} and P0 {p0!r} would travel {travel:.0f} quanta,"
+            f" more than {MAX_GRID_POINTS}"
+        )
     out: list[tuple[SimTime, int]] = []
     k = 0
     up, down = _thresholds(p0, dp, k)
-    level_span = 2**31 * dp
 
     def advance(t: SimTime, v: float) -> None:
         nonlocal k, up, down
-        if abs(v - p0) >= level_span:
-            raise LevelOutOfRange(
-                f"value {v!r} at t={t} is 2**31 or more quanta of dP {dp!r} from P0 {p0!r}"
-            )
         while v >= up:
             k += 1
             out.append((t, +1))

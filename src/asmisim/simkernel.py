@@ -17,6 +17,19 @@ from typing import Callable
 SimTime = int
 
 MAX_SIMTIME = 2**64 - 1
+# A run holds five counts over the horizon in memory, each about horizon //
+# step entries: each signal's truth on the error grid, each sensor's polls at
+# a fixed baseline dt and its STATUS frames, an ambient signal's noise walk
+# and its breakpoints (a noise tick, and an extremum per half-period). One
+# bound caps each in scenario.validate, and it caps the grid quanta one
+# sensor's crossing solve may travel (signalgen.TooManyCrossings). On
+# quiet_day.json just inside it (a shared 2-core machine), the polls (dt 87)
+# took 4.4 s and 339 MiB peak RSS, the walk (noise_step 87) 2.7 s and 225
+# MiB, the extrema (period 173) 3.4 s and 326 MiB, one sensor's STATUS
+# frames (status_interval 87) 9.7 s and 637 MiB; a 1 kWh/h day solved to
+# 999 999 crossings in 4.5 s. It fits a 1-minute step over 694 days; a 1 ms
+# step over one day would need 86 400 000 entries.
+MAX_GRID_POINTS = 1_000_000
 
 
 class SchedulingInPast(Exception):

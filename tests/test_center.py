@@ -203,6 +203,20 @@ def test_unknown_router_defaults_to_zero_residual():
     assert entry.estimated_event_time == 10_000
 
 
+def test_re_registering_a_router_replaces_its_location_and_residual():
+    center = MonitoringCenter(nominal_latency=50)
+    center.register_sensor(meter())
+    center.register_router(1, "roof", sync_residual=2)
+    assert center.ingest(record(1, 1, at=10_052)) is IngestOutcome.ACCEPTED
+    center.register_router(1, "mast", sync_residual=-30)
+    assert center.routers == {1: "mast"}
+    assert center.ingest(record(2, 2, at=20_020)) is IngestOutcome.ACCEPTED
+    # A later copy of seq 1 corrects to 10_032 under the new residual: the
+    # entry placed under the old one keeps its earlier time.
+    assert center.ingest(record(1, 1, at=10_052)) is IngestOutcome.DUPLICATE
+    assert [(e.estimated_event_time, e.seq_no) for e in center.timeline(1)] == [(10_000, 1), (20_000, 2)]
+
+
 def test_reconstruct_before_any_data():
     center = MonitoringCenter()
     center.register_sensor(meter(dp=0.5, p0=3.0))
@@ -536,11 +550,11 @@ def test_hostile_records_are_counted_and_never_raise():
 
 class _ReferenceCenter(MonitoringCenter):
     """The center with ingest as it stood before ingest unpacked each record
-    once and read residuals from a dict, kept verbatim as the reference."""
+    once, kept as the reference. It reads the center's residual book and
+    appends to its quarantine queue, as the center keeps them."""
 
     def _corrected_time(self, rec: ForwardedRecord):
-        registered = self.routers.get(rec.router_id)
-        residual = registered.sync_residual if registered is not None else 0
+        residual = self._residuals.get(rec.router_id, 0)
         return rec.local_receipt_time - residual - self.nominal_latency
 
     def ingest(self, rec: ForwardedRecord) -> IngestOutcome:
@@ -562,7 +576,7 @@ class _ReferenceCenter(MonitoringCenter):
                 return IngestOutcome.MALFORMED
             # decode takes only FRAME_LEN bytes: `store` is this frame's sensor's
             if store is None:
-                self._quarantine.setdefault(frame.sensor_id, []).append((next(self._arrivals), rec))
+                self._quarantine.append((frame.sensor_id, rec))
                 self.counters["quarantined"] += 1
                 return IngestOutcome.QUARANTINED
             existing = store.by_seq.get(frame.seq_no)
@@ -694,6 +708,6 @@ def test_timeline_placement_matches_always_bisecting_reference(seed):
         # descending seq_nos at one time, then one later and one equal again
         ops += [("place", 10**6 + k, 10**5) for k in (5, 3, 4, 1)]
         ops += [("place", 10**6 + 9, 10**5 + 1), ("place", 10**6 + 2, 10**5 + 1)]
-        expected = _replay(_BisectingTimeline(), ops)
-        assert _replay(_Timeline(), ops) == expected
+        expected = _replay(_BisectingTimeline(meter()), ops)
+        assert _replay(_Timeline(meter()), ops) == expected
         assert expected == sorted(expected)

@@ -1277,6 +1277,21 @@ def test_cli_run_reports_level_out_of_range(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_run_refuses_a_crossing_solve_past_the_grid_cap(tmp_path, capsys):
+    # dP 3e-9 validates, and the 5 kWh burst is under 2**31 of its quanta;
+    # walking all 1.7e9 of them would take about a day.
+    doc = json.loads((SCENARIO_DIR / "burst_day.json").read_text())
+    doc["sensors"][0]["dP"] = 3e-9
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: the crossing solve for dP 3e-09 and P0 0.0 would travel ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_of_a_flat_signal_far_from_zero_sends_status_frames_only(tmp_path, capsys):
     # 1e12 is 1e13 quanta of dP 0.1 from 0: an uncapped grid slack there is
     # wider than a quantum, and the crossing search divided by zero.

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -14,6 +15,7 @@ from asmisim.signalgen import (
     OutOfHorizon,
     Signal,
     StepLoadSpec,
+    TooManyCrossings,
     crossing_times,
     diurnal_signal,
     reach_tolerance,
@@ -230,8 +232,16 @@ def _case_noisy_walk(rng):
     return sig, 10.0 + rng.uniform(-dp, dp), dp
 
 
+def _case_far_phase(rng):
+    # A phase up to +-9e18, where a double's step reaches 1 024 ms: the
+    # extrema must come out where value_at puts them, 30 periods in a row.
+    phase = rng.randrange(-9 * 10**18, 9 * 10**18)
+    sig = diurnal_signal(0.0, 10.0, period=2_000, phase=phase, horizon=60_000)
+    return sig, 0.0, 0.1
+
+
 @pytest.mark.parametrize("seed", range(2))
-@pytest.mark.parametrize("case", [_case_step_load, _case_tiny_dp, _case_sinusoid, _case_noisy_walk])
+@pytest.mark.parametrize("case", [_case_step_load, _case_tiny_dp, _case_sinusoid, _case_noisy_walk, _case_far_phase])
 def test_crossings_match_dense_scan_random_signals(case, seed):
     sig, p0, dp = case(random.Random(f"{case.__name__}:{seed}"))
     got = crossing_times(sig, p0, dp)
@@ -296,6 +306,23 @@ def test_constant_signal_never_crosses():
     assert crossing_times(sig, 0.0, 0.1) == []
     flat = diurnal_signal(mean=21.0, amplitude=0.0, horizon=DAY_MS)
     assert crossing_times(flat, 21.0, 0.5) == []
+
+
+# Each solve would make 2 000 000 crossings, twice the cap: a climb of 48
+# kWh in a day, and a walk from P0 out to a flat signal's first value.
+OVER_THE_CAP = {
+    "climb": (step_load_signal(2.0, horizon=DAY_MS), 0.0, 48 / 2_000_000),
+    "walk_to_first_value": (diurnal_signal(mean=2.0, amplitude=0.0, horizon=DAY_MS), 0.0, 1e-6),
+}
+
+
+@pytest.mark.parametrize("case", OVER_THE_CAP)
+def test_a_solve_past_the_grid_cap_is_refused_before_it_walks(case):
+    sig, p0, dp = OVER_THE_CAP[case]
+    start = time.perf_counter()
+    with pytest.raises(TooManyCrossings, match="would travel 2000000 quanta, more than 1000000"):
+        crossing_times(sig, p0, dp)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_slack_is_capped_at_a_quarter_quantum_far_from_zero():
