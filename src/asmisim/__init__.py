@@ -7,7 +7,7 @@ parameter as a stepped timeline with explicit uncertainty. A synchronous
 polling baseline runs beside it for message-budget comparisons.
 """
 
-from .baseline import AmiSample, ErrorReport, error_stats, matched_budget_interval, poll, reconstruct_ami
+from .baseline import AmiSample, ErrorReport, error_stats, matched_budget_interval, poll
 from .center import IngestOutcome, Liveness, MonitoringCenter
 from .pi_protocol import MsgType, PiFrame, crc8, decode, encode
 from .radio import Channel, ChannelSpec, CoverageMap, broadcast
@@ -56,7 +56,6 @@ __all__ = [
     "observe",
     "poll",
     "receive",
-    "reconstruct_ami",
     "run_scenario",
     "sampling_driver",
     "step_load_signal",

@@ -10,9 +10,7 @@ between polls.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .signalgen import Signal, value_at
 from .simkernel import SimTime
@@ -53,15 +51,6 @@ def poll(signal: Signal, dt: SimTime) -> list[AmiSample]:
         samples.append(AmiSample(t=t, value=value_at(signal, t)))
         k += 1
     return samples
-
-
-def reconstruct_ami(samples: list[AmiSample], t: SimTime, p0: float = 0.0) -> float:
-    """Zero-order hold: latest sample at or before t, else the prior p0.
-
-    samples must be in time order, as poll returns them.
-    """
-    i = bisect_right(samples, t, key=attrgetter("t"))
-    return samples[i - 1].value if i else p0
 
 
 def hold_error(

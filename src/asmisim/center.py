@@ -21,8 +21,9 @@ copy included, is decoded in full.
 A registered sensor has one record, its _Timeline: the descriptor, the
 location, and the accepted entries by seq_no and in (estimated time,
 seq_no) order as ingest keeps them, so queries read them as they stand. A
-frame from a sensor not yet registered joins one quarantine queue in
-arrival order; registering the sensor replays only its own frames.
+frame from a sensor not yet registered is held in that sensor's own
+quarantine list, numbered in global arrival order; registering the sensor
+pops its list and replays it, without scanning any other sensor's.
 
 Reconstruction is a zero-order hold over the per-sensor timeline: between
 records the last known grid level stands. Because every EVENT carries the
@@ -46,6 +47,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count
 
 from . import pi_protocol
 from .pi_protocol import FRAME_LEN, MsgType
@@ -164,8 +166,9 @@ class MonitoringCenter:
         self.counters: dict[str, int] = {"accepted": 0, "deduped": 0, "quarantined": 0, "malformed": 0}
         # sensor_id -> the registered sensor's one record
         self._timelines: dict[int, _Timeline] = {}
-        # (sensor_id, record) for sensors not yet registered, in arrival order
-        self._quarantine: list[tuple[int, ForwardedRecord]] = []
+        # sensor_id -> [(arrival number, record)] for sensors not yet registered
+        self._quarantine: dict[int, list[tuple[int, ForwardedRecord]]] = {}
+        self._arrivals = count()
 
     # -- registry ---------------------------------------------------------
 
@@ -175,10 +178,9 @@ class MonitoringCenter:
         if sensor_id in self._timelines:
             raise DuplicateRegistration(f"sensor {sensor_id}")
         self._timelines[sensor_id] = _Timeline(descriptor, location)
-        replay = [rec for held_id, rec in self._quarantine if held_id == sensor_id]
-        self._quarantine = [held for held in self._quarantine if held[0] != sensor_id]
+        replay = self._quarantine.pop(sensor_id, [])
         self.counters["quarantined"] -= len(replay)
-        for rec in replay:
+        for _, rec in replay:
             self.ingest(rec)
 
     def register_router(self, router_id: int, location: str = "", sync_residual: int = 0) -> None:
@@ -187,7 +189,7 @@ class MonitoringCenter:
 
     def quarantined_records(self) -> list[ForwardedRecord]:
         """Records held for unregistered sensors, in global arrival order."""
-        return [rec for _, rec in self._quarantine]
+        return [rec for _, rec in sorted(held for records in self._quarantine.values() for held in records)]
 
     # -- ingest -----------------------------------------------------------
 
@@ -210,7 +212,7 @@ class MonitoringCenter:
             # decode takes only FRAME_LEN bytes: `store` and `found` are this
             # frame's sensor's and seq_no's
             if store is None:
-                self._quarantine.append((frame.sensor_id, rec))
+                self._quarantine.setdefault(frame.sensor_id, []).append((next(self._arrivals), rec))
                 self.counters["quarantined"] += 1
                 return IngestOutcome.QUARANTINED
             if found is None:

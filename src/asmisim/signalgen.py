@@ -14,7 +14,7 @@ function that takes a Signal evaluates it over that horizon and asks for no
 other. Evaluation is pure: a Signal with a fixed seed always yields the same
 value at the same time, regardless of evaluation order. What a Signal learns
 while it is evaluated (its noise walk, its step-load interval terms, its
-breakpoint table) is a cached property, shared by every caller.
+table of points) is a cached property, shared by every caller.
 """
 
 from __future__ import annotations
@@ -95,9 +95,9 @@ class Signal:
     """A ground-truth parameter on [0, horizon]: spec, unit, seed and horizon define it.
 
     The spec's type is the kind. horizon is required and keyword-only.
-    The tables an evaluation needs are cached properties, built on first
-    use and then read by every caller; they are not fields, so ==, hash
-    and repr ignore them by construction.
+    The tables an evaluation needs, _points among them, are cached
+    properties, built on first use and then read by every caller; they
+    are not fields, so ==, hash and repr ignore them by construction.
     """
 
     spec: StepLoadSpec | DiurnalSpec
@@ -123,32 +123,30 @@ class Signal:
         )
 
     @cached_property
-    def _breakpoint_table(self) -> tuple:
-        """(b, value at b - 1, value at b) for t = 0 and each later breakpoint.
+    def _points(self) -> tuple:
+        """(t, value) at 0 and each later breakpoint b, with b - 1 before b
+        when b - 1 lies past the previous point, in time order.
 
-        The breakpoints are _breakpoints(self). The value at b - 1 is None
-        when b - 1 is the previous breakpoint, whose value the row before
-        already holds. Every sensor's crossing search walks this table.
+        The breakpoints are _breakpoints(self), so the signal is monotone
+        on the ms lattice between consecutive points; crossing_times walks it.
         """
-        rows = [(0, None, value_at(self, 0))]
+        points = [(0, value_at(self, 0))]
         for b in _breakpoints(self):
-            prev = rows[-1][0]
+            prev = points[-1][0]
             if b > prev:
-                rows.append((b, value_at(self, b - 1) if b - 1 > prev else None, value_at(self, b)))
-        return tuple(rows)
+                if b - 1 > prev:
+                    points.append((b - 1, value_at(self, b - 1)))
+                points.append((b, value_at(self, b)))
+        return tuple(points)
 
     @cached_property
     def _extent(self) -> tuple:
         """((t, v) at the lowest value, (t, v) at the highest, total variation).
 
-        The signal is monotone between consecutive points of the breakpoint
-        table, the b - 1 points included, so the table gives all three exactly.
+        The signal is monotone between consecutive points, so _points gives
+        all three exactly.
         """
-        points = []
-        for b, vw, vb in self._breakpoint_table:
-            if vw is not None:
-                points.append((b - 1, vw))
-            points.append((b, vb))
+        points = self._points
         variation = sum(abs(v - u) for (_, u), (_, v) in zip(points, points[1:]))
         return min(points, key=itemgetter(1)), max(points, key=itemgetter(1)), variation
 
@@ -270,12 +268,14 @@ def crossing_times(signal: Signal, p0: float, dp: float) -> list[tuple[SimTime, 
     Returns every millisecond t in [0, signal.horizon] at which the signal
     crosses the running reference grid p0 + k*dp, as (t, +1) or (t, -1),
     ordered by time. The reference moves one quantum per crossing; a jump
-    across several quanta yields several entries at the same t. Crossings
-    are searched for within monotone segments (see _first_crossing), so each
-    reported t is the first millisecond at which the crossing condition
-    holds. The segment ends and their values come from the signal's
-    breakpoint table, so only the search inside a segment calls value_at,
-    and a second call on the same signal evaluates no breakpoint again.
+    across several quanta yields several entries at the same t, ups before
+    downs. The solve walks the signal's _points, one monotone piece (t, w]
+    at a time: while the value at w lies past a threshold it searches the
+    piece for the first crossing (see _first_crossing) and steps the
+    reference, then it stands at w. So each reported t is the first
+    millisecond at which the crossing condition holds, only the search
+    inside a piece calls value_at, and a second call on the same signal
+    evaluates no point again.
     Before it walks, it raises LevelOutOfRange if the signal strays 2**31 or
     more quanta from p0, and TooManyCrossings if the walk would travel more
     than MAX_GRID_POINTS quanta.
@@ -286,7 +286,7 @@ def crossing_times(signal: Signal, p0: float, dp: float) -> list[tuple[SimTime, 
     t, v = lowest if p0 - lowest[1] >= highest[1] - p0 else highest
     if abs(v - p0) >= 2**31 * dp:
         raise LevelOutOfRange(f"value {v!r} at t={t} is 2**31 or more quanta of dP {dp!r} from P0 {p0!r}")
-    travel = (abs(signal._breakpoint_table[0][2] - p0) + variation) / dp
+    travel = (abs(signal._points[0][1] - p0) + variation) / dp
     if travel > MAX_GRID_POINTS:
         raise TooManyCrossings(
             f"the crossing solve for dP {dp!r} and P0 {p0!r} would travel {travel:.0f} quanta,"
@@ -295,29 +295,21 @@ def crossing_times(signal: Signal, p0: float, dp: float) -> list[tuple[SimTime, 
     out: list[tuple[SimTime, int]] = []
     k = 0
     up, down = _thresholds(p0, dp, k)
-
-    def advance(t: SimTime, v: float) -> None:
-        nonlocal k, up, down
-        while v >= up:
-            k += 1
-            out.append((t, +1))
-            up, down = _thresholds(p0, dp, k)
-        while v <= down:
-            k -= 1
-            out.append((t, -1))
-            up, down = _thresholds(p0, dp, k)
-
-    rows = iter(signal._breakpoint_table)
-    t, _, v = next(rows)
-    advance(t, v)
-    for b, vw, vb in rows:
-        w = b - 1
-        while w > t and (vw >= up or vw <= down):
+    # The first piece is the point at 0 alone: its search returns at once.
+    t, v = signal._points[0]
+    for w, vw in signal._points:
+        while vw >= up or vw <= down:
             sign, thr = (1, up) if vw >= up else (-1, down)
             t, v = _first_crossing(signal, t, v, w, vw, thr, sign)
-            advance(t, v)
-        t, v = b, vb
-        advance(t, v)
+            while v >= up:
+                k += 1
+                out.append((t, +1))
+                up, down = _thresholds(p0, dp, k)
+            while v <= down:
+                k -= 1
+                out.append((t, -1))
+                up, down = _thresholds(p0, dp, k)
+        t, v = w, vw
     return out
 
 
@@ -326,7 +318,7 @@ def _thresholds(p0: float, dp: float, k: int) -> tuple[float, float]:
 
     The slack is under dp/2, so a value that leaves line k one way lands
     strictly inside the next line's (down, up), up to the rounding of
-    p0 + k*dp: `advance` moves one way per instant and leaves
+    p0 + k*dp: crossing_times steps one way per instant and leaves
     down < v < up, so `_first_crossing` never sees v_hi == v_lo.
     """
     up = p0 + (k + 1) * dp

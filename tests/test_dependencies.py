@@ -4,7 +4,8 @@ its tests nor its benchmark carry a dead import: each name a module imports
 is read there or exported. A Signal carries its horizon, so no package
 function takes a horizon beside a Signal. And what a run fills in is no
 constructor option: no dataclass takes a field named with a leading
-underscore as an `__init__` parameter."""
+underscore as an `__init__` parameter. No function keeps its state in a
+closure that rebinds it: the package holds no `nonlocal` statement."""
 
 import ast
 import dataclasses
@@ -135,3 +136,37 @@ def test_run_state_in_a_constructor_is_caught():
 
     namespace = {"__name__": __name__, "Cache": Cache}
     assert private_init_fields(namespace) == [f"{Cache.__qualname__}._table"]
+
+
+def nonlocal_scopes(source: str) -> list[str]:
+    """The dotted name of the function around each `nonlocal` statement in `source`."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            elif isinstance(child, ast.Nonlocal):
+                found.append(scope)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_no_function_rebinds_an_enclosing_name():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) >= 10
+    found = {path.name: nonlocal_scopes(path.read_text()) for path in sources}
+    assert {name: scopes for name, scopes in found.items() if scopes} == {}
+
+
+def test_a_nonlocal_statement_is_caught():
+    source = (
+        "def solve(n):\n    k = 0\n    def advance():\n        nonlocal k\n        k += 1\n    advance()\n"
+        "class C:\n    def m(self):\n        x = 0\n        async def inner():\n"
+        "            if x:\n                nonlocal x\n\n"
+        "def ok():\n    global G\n    out = []\n    def add(v):\n        out.append(v)\n"
+    )
+    assert nonlocal_scopes(source) == ["solve.advance", "C.m.inner"]

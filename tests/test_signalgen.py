@@ -24,16 +24,20 @@ from asmisim.signalgen import (
 )
 
 
-def dense_scan_oracle(signal, p0, dp):
-    """Reference crossing detector: walk every millisecond up to signal.horizon, tracking the grid.
+def dense_scan(signal):
+    """value_at at every millisecond of [0, signal.horizon]."""
+    return [value_at(signal, t) for t in range(signal.horizon + 1)]
+
+
+def dense_scan_oracle(values, p0, dp):
+    """Reference crossing detector: walk dense_scan(signal) millisecond by millisecond, tracking the grid.
 
     Deliberately brute force and independent of crossing_times' search;
     shares only value_at (the ground truth) and the boundary tolerance rule.
     """
     out = []
     k = 0
-    for t in range(signal.horizon + 1):
-        v = value_at(signal, t)
+    for t, v in enumerate(values):
         while True:
             thr = p0 + (k + 1) * dp
             if v < thr - reach_tolerance(thr, dp):
@@ -153,7 +157,7 @@ def test_crossings_match_dense_scan_step_load():
         horizon=horizon,
     )
     got = crossing_times(sig, 0.0, 0.05)
-    assert got == dense_scan_oracle(sig, 0.0, 0.05)
+    assert got == dense_scan_oracle(dense_scan(sig), 0.0, 0.05)
     assert got, "scenario was supposed to generate crossings"
 
 
@@ -161,7 +165,7 @@ def test_crossings_match_dense_scan_sinusoid():
     horizon = 480_000  # one full 8-minute period
     sig = diurnal_signal(mean=20.0, amplitude=2.0, period=480_000, phase=30_000, horizon=horizon)
     got = crossing_times(sig, 20.0, 0.3)
-    assert got == dense_scan_oracle(sig, 20.0, 0.3)
+    assert got == dense_scan_oracle(dense_scan(sig), 20.0, 0.3)
     assert {d for _, d in got} == {+1, -1}  # both slopes of the wave exercised
 
 
@@ -177,7 +181,7 @@ def test_crossings_match_dense_scan_noisy_walk():
         horizon=horizon,
     )
     got = crossing_times(sig, 10.0, 0.15)
-    assert got == dense_scan_oracle(sig, 10.0, 0.15)
+    assert got == dense_scan_oracle(dense_scan(sig), 10.0, 0.15)
     # walk steps of sigma 0.5 against dp 0.15 force multi-quantum jumps:
     # expect at least one instant with more than one crossing
     by_t = {}
@@ -244,9 +248,22 @@ def _case_far_phase(rng):
 @pytest.mark.parametrize("case", [_case_step_load, _case_tiny_dp, _case_sinusoid, _case_noisy_walk, _case_far_phase])
 def test_crossings_match_dense_scan_random_signals(case, seed):
     sig, p0, dp = case(random.Random(f"{case.__name__}:{seed}"))
+    values = dense_scan(sig)
     got = crossing_times(sig, p0, dp)
-    assert got == dense_scan_oracle(sig, p0, dp)
+    assert got == dense_scan_oracle(values, p0, dp)
     assert got, "case was supposed to generate crossings"
+    # The table the solve walks: each point holds the scan's value, the
+    # signal is monotone on the ms lattice between consecutive points, so
+    # _extent's lowest and highest are the scan's min and max.
+    points = sig._points
+    assert points[0][0] == 0 and points[-1][0] == sig.horizon
+    assert all(values[t] == v for t, v in points)
+    for (a, _), (b, _) in zip(points, points[1:]):
+        piece = values[a : b + 1]
+        assert a < b and (piece == sorted(piece) or piece == sorted(piece, reverse=True)), (a, b)
+    (lo_t, lo), (hi_t, hi), variation = sig._extent
+    assert lo == values[lo_t] == min(values) and hi == values[hi_t] == max(values)
+    assert variation == pytest.approx(sum(abs(v - u) for u, v in zip(values, values[1:])))
 
 
 def _count_value_at(monkeypatch):
